@@ -3,8 +3,9 @@
 // The RoundContext redesign lets CriusScheduler keep its per-job cell ranking
 // across rounds and re-estimate only the jobs the round's event delta actually
 // dirtied. This sweep measures what that buys: it runs the same trace twice --
-// once with CriusConfig::incremental on, once re-ranking every job from
-// scratch each round (the literal Algorithm 1) -- and reports per-round
+// once with CriusScheduler, once with FreshCriusScheduler, which re-ranks
+// every job from scratch each round on a new instance (the literal
+// Algorithm 1) -- and reports per-round
 // Schedule() wall latency. The headline number is the median over
 // *steady-state* rounds (rounds whose event delta is empty), where the
 // incremental path should serve the entire ranking from the memo.
@@ -99,12 +100,10 @@ ModeStats Summarize(const std::vector<RoundSample>& samples) {
 
 // One full simulation with a fresh oracle and scheduler; returns the per-round
 // latency samples.
-std::vector<RoundSample> RunMode(const Cluster& cluster, const std::vector<TrainingJob>& trace,
-                                 bool incremental) {
+template <typename Sched>
+std::vector<RoundSample> RunMode(const Cluster& cluster, const std::vector<TrainingJob>& trace) {
   PerformanceOracle oracle(cluster, 42);
-  CriusConfig config;
-  config.incremental = incremental;
-  CriusScheduler sched(&oracle, config);
+  Sched sched(&oracle, CriusConfig{});
   RoundLatencyScheduler timed(&sched);
   Simulator sim(cluster, SimConfig{});
   sim.Run(timed, oracle, trace);
@@ -165,10 +164,10 @@ int main(int argc, char** argv) {
   // steady-state allocation pressure of the estimation path.
   const int64_t arena_before =
       CounterRegistry::Global().GetCounter("estimator.arena_bytes").value();
-  const std::vector<RoundSample> inc_samples = RunMode(cluster, trace, /*incremental=*/true);
+  const std::vector<RoundSample> inc_samples = RunMode<CriusScheduler>(cluster, trace);
   const int64_t arena_after =
       CounterRegistry::Global().GetCounter("estimator.arena_bytes").value();
-  const std::vector<RoundSample> full_samples = RunMode(cluster, trace, /*incremental=*/false);
+  const std::vector<RoundSample> full_samples = RunMode<FreshCriusScheduler>(cluster, trace);
   const ModeStats inc = Summarize(inc_samples);
   const ModeStats full = Summarize(full_samples);
   const double round_alloc_bytes =

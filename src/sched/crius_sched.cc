@@ -16,6 +16,13 @@ namespace crius {
 
 namespace {
 
+// Minimum relative estimated-throughput gain before a running job is
+// re-scheduled in the upscale phase; keeps restart counts low (§8.4).
+constexpr double kMoveGainThreshold = 0.05;
+// Pending queued jobs that get the full scaling search per round; the rest
+// only try free capacity (bounds per-round scheduling overhead).
+constexpr int kMaxSearchJobs = 8;
+
 // Shard-routing hash for the ranking memo.
 uint64_t JobHash(int64_t id) { return SplitMix64(static_cast<uint64_t>(id)); }
 
@@ -93,6 +100,26 @@ std::string CriusScheduler::name() const {
   return "Crius";
 }
 
+size_t CriusScheduler::PrunedCandidates(const TrainingJob& job, const Cluster& cluster,
+                                        std::vector<Cell>* out) const {
+  GenerateCellsInto(job, cluster, out);
+  const size_t generated = out->size();
+  // erase/remove_if keeps the sorted candidate order.
+  if (!config_.heterogeneity_scaling || !config_.adaptivity_scaling) {
+    out->erase(std::remove_if(out->begin(), out->end(),
+                              [&](const Cell& cell) {
+                                if (!config_.heterogeneity_scaling &&
+                                    cell.gpu_type != job.requested_type) {
+                                  return true;
+                                }
+                                return !config_.adaptivity_scaling &&
+                                       cell.ngpus != job.requested_gpus;
+                              }),
+               out->end());
+  }
+  return generated;
+}
+
 CriusScheduler::JobCells CriusScheduler::ComputeCells(const TrainingJob& job,
                                                       const Cluster& cluster) {
   CRIUS_TRACE_SPAN("sched.cells_for");
@@ -102,22 +129,7 @@ CriusScheduler::JobCells CriusScheduler::ComputeCells(const TrainingJob& job,
   // so the ranking path performs no heap allocation.
   static thread_local std::vector<Cell> candidates;
   static thread_local CellBatchResult batch;
-  GenerateCellsInto(job, cluster, &candidates);
-  const size_t considered = candidates.size();
-  // Ablation pruning in place (§8.6: Crius-NH pins the type, Crius-NA the
-  // size). erase/remove_if keeps the sorted candidate order.
-  if (!config_.heterogeneity_scaling || !config_.adaptivity_scaling) {
-    candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                    [&](const Cell& cell) {
-                                      if (!config_.heterogeneity_scaling &&
-                                          cell.gpu_type != job.requested_type) {
-                                        return true;
-                                      }
-                                      return !config_.adaptivity_scaling &&
-                                             cell.ngpus != job.requested_gpus;
-                                    }),
-                     candidates.end());
-  }
+  const size_t considered = PrunedCandidates(job, cluster, &candidates);
   CRIUS_COUNTER_ADD("sched.cells_considered", static_cast<int64_t>(considered));
   CRIUS_COUNTER_ADD("sched.cells_pruned",
                     static_cast<int64_t>(considered - candidates.size()));
@@ -195,7 +207,7 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
   // departed entries; an eventless same-size *swap* stays correct too
   // (CellsFor computes new jobs lazily), merely deferring eviction and this
   // round's warm-up parallelism to the next uneven round.
-  if (config_.incremental && cells_stamp_known_ && cells_stamp_ == stamp &&
+  if (cells_stamp_known_ && cells_stamp_ == stamp &&
       round.events().empty() && jobs.size() == cells_jobs_seen_) {
     CRIUS_COUNTER_INC("sched.cells_steady_rounds");
     return;
@@ -203,16 +215,14 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
   const auto t_enter = std::chrono::steady_clock::now();
   const std::array<int, kNumGpuTypes> caps = CandidateCaps(cluster);
 
-  // 1. Pick the maintenance path. The incremental delta path requires:
-  // incremental mode on, the same cluster object as last round, and -- when
-  // the health epoch moved -- an event delta that actually reports the health
-  // changes (the RoundContext contract). An empty-handed delta, a cluster
-  // identity change (different hardware; cached rankings are meaningless),
-  // or incremental mode off all force the full re-rank, which is always
-  // correct.
+  // 1. Pick the maintenance path. The incremental delta path requires the
+  // same cluster object as last round and -- when the health epoch moved --
+  // an event delta that actually reports the health changes (the
+  // RoundContext contract). An empty-handed delta or a cluster identity
+  // change (different hardware; cached rankings are meaningless) forces the
+  // full re-rank, which is always correct.
   const bool stamp_moved = cells_stamp_known_ && cells_stamp_ != stamp;
-  bool full = !config_.incremental || !cells_stamp_known_ ||
-              cells_stamp_.identity != stamp.identity;
+  bool full = !cells_stamp_known_ || cells_stamp_.identity != stamp.identity;
   if (!full && cells_stamp_.epoch != stamp.epoch && !round.has_health_events()) {
     full = true;
   }
@@ -318,22 +328,9 @@ double CriusScheduler::ProfilingDelay(const TrainingJob& job, const Cluster& clu
   std::array<double, kNumGpuTypes> per_type{};
   static thread_local std::vector<Cell> candidates;
   static thread_local CellBatchResult batch;
-  GenerateCellsInto(job, cluster, &candidates);
-  // Ablation variants never rank pruned Cells (CellsFor drops them), so they
-  // must not be charged the GPU-seconds to profile them either: Crius-NH
-  // profiles only the requested type, Crius-NA only the requested size.
-  if (!config_.heterogeneity_scaling || !config_.adaptivity_scaling) {
-    candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                    [&](const Cell& cell) {
-                                      if (!config_.heterogeneity_scaling &&
-                                          cell.gpu_type != job.requested_type) {
-                                        return true;
-                                      }
-                                      return !config_.adaptivity_scaling &&
-                                             cell.ngpus != job.requested_gpus;
-                                    }),
-                     candidates.end());
-  }
+  // Ablation variants never rank pruned Cells, so they are not charged the
+  // GPU-seconds to profile them either.
+  PrunedCandidates(job, cluster, &candidates);
   oracle_->EstimateCellBatch(
       CellBatchRequest{&job.spec, candidates.data(), candidates.size()}, &batch);
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -586,7 +583,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       // the final placement makes the cumulative delta (including the placed
       // job's score) positive.
       bool placed = false;
-      if (searched_jobs < config_.max_search_jobs && config_.search_depth > 0) {
+      if (searched_jobs < kMaxSearchJobs && config_.search_depth > 0) {
         ++searched_jobs;
         FreeMap trial_free = free;
         std::vector<std::pair<size_t, std::optional<Cell>>> saved;  // victim -> old cell
@@ -746,7 +743,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   int upscale_moves = 0;
   for (int moves = 0; moves < config_.max_upscale_moves; ++moves) {
     double best_rank = !multi && config_.objective == CriusObjective::kMaxThroughput
-                           ? config_.move_gain_threshold
+                           ? kMoveGainThreshold
                            : -std::numeric_limits<double>::infinity();
     size_t best_vi = 0;
     const CellChoice* best_cell = nullptr;
@@ -774,12 +771,12 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         double rank = 0.0;
         if (multi) {
           // Composite gain of swapping the held Cell for `alt`; the same
-          // move_gain_threshold guards against churny marginal restarts.
+          // kMoveGainThreshold guards against churny marginal restarts.
           FreeMap f3 = f2;
           Take(alt.cell, f3);
           const double gain = composite_rank(alt.score, alt.cell, f3) -
                               composite_rank(vj.score, *vj.cell, free);
-          if (gain <= config_.move_gain_threshold) {
+          if (gain <= kMoveGainThreshold) {
             continue;
           }
           // Fairness water-fills (most-deprived job first), like the coarse
@@ -787,7 +784,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
           rank = gain + config_.multi.fairness * -vj.score;
         } else {
           const double gain = (alt.score - vj.score) / std::max(vj.score, 1e-9);
-          if (gain <= config_.move_gain_threshold) {
+          if (gain <= kMoveGainThreshold) {
             continue;  // a restart is never worth a marginal gain
           }
           if (config_.objective == CriusObjective::kMaxThroughput) {

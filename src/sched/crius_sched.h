@@ -68,20 +68,8 @@ struct CriusConfig {
   bool deadline_aware = false;
   // Launch later queued jobs while a larger one pends (§6.1).
   bool opportunistic = true;
-  // Minimum relative estimated-throughput gain before a running job is
-  // re-scheduled in the upscale phase; keeps restart counts low (§8.4).
-  double move_gain_threshold = 0.05;
-  // Pending queued jobs that get the full scaling search per round; the rest
-  // only try free capacity (bounds per-round scheduling overhead).
-  int max_search_jobs = 8;
   // Upper bound on upscale moves applied per round.
   int max_upscale_moves = 12;
-  // Event-driven incremental rounds: keep the generation-stamped per-job Cell
-  // ranking memo across rounds and re-estimate only the dirty set named by
-  // the RoundContext's event delta. false = literal Algorithm 1, re-ranking
-  // every job from scratch each round. Decisions are bit-identical either way
-  // (tests/incremental_equivalence_test).
-  bool incremental = true;
   // Multi-objective weights (src/power). Default (pure throughput) leaves
   // every decision bit-identical to the single-objective scheduler; any other
   // weight vector switches placement/upscale ranking to the composite score
@@ -131,20 +119,26 @@ class CriusScheduler : public Scheduler {
   // oracle, so pool workers may run it concurrently during cache warm-up.
   JobCells ComputeCells(const TrainingJob& job, const Cluster& cluster);
 
+  // Fills *out with the job's candidate Cells minus those the ablation flags
+  // prune (Crius-NH pins the type, Crius-NA the size) and returns the count
+  // before pruning. The single source for both the Cells that are ranked and
+  // the Cells charged for profiling.
+  size_t PrunedCandidates(const TrainingJob& job, const Cluster& cluster,
+                        std::vector<Cell>* out) const;
+
   // Cell candidates for `job`, scored and memoized under the cluster's
   // current (identity, health_epoch) stamp. Thread-safe: concurrent placement
   // passes may look up (and, on a miss, populate) the memo.
   const JobCells& CellsFor(const TrainingJob& job, const Cluster& cluster);
 
-  // Round-start memo maintenance. Incremental mode keeps the memo across
-  // rounds: when the health epoch moved AND the round's event delta reports
-  // the health changes, only entries whose §6.1 candidate-size set actually
-  // changed (a per-type capacity cap crossed one of the job's three candidate
-  // sizes) are re-ranked; the rest are restamped in place. Falls back to a
-  // full re-rank when incremental mode is off, the cluster identity changed,
-  // or the epoch moved with an empty-handed event delta. Always evicts
-  // entries for jobs no longer in the round and warms missing entries in
-  // parallel.
+  // Round-start memo maintenance. The memo persists across rounds: when the
+  // health epoch moved AND the round's event delta reports the health
+  // changes, only entries whose §6.1 candidate-size set actually changed (a
+  // per-type capacity cap crossed one of the job's three candidate sizes) are
+  // re-ranked; the rest are restamped in place. Falls back to a full re-rank
+  // when the cluster identity changed or the epoch moved with an empty-handed
+  // event delta. Always evicts entries for jobs no longer in the round and
+  // warms missing entries in parallel.
   void SyncCellsCache(const RoundContext& round);
 
   // One full virtual-scheduling pass with a fixed queued-job order; also
@@ -187,6 +181,30 @@ class CriusScheduler : public Scheduler {
   // entries are never mutated in place and maintenance only runs in
   // SyncCellsCache; the id tag guards positional reads for ad-hoc callers.
   std::vector<std::pair<int64_t, const JobCells*>> cells_snapshot_;
+};
+
+// Literal Algorithm 1 reference: every Schedule() call runs on a freshly
+// built CriusScheduler (same oracle and config), whose ranking memo is empty,
+// so each round re-ranks every job from scratch. ProfilingDelay forwards to
+// one persistent instance. The equivalence test and bench/ext_rounds compare
+// the memoized scheduler against it; decisions must be bit-identical.
+class FreshCriusScheduler : public Scheduler {
+ public:
+  FreshCriusScheduler(PerformanceOracle* oracle, CriusConfig config)
+      : Scheduler(oracle), profiler_(oracle, config) {}
+
+  std::string name() const override { return profiler_.name(); }
+
+  ScheduleDecision Schedule(const RoundContext& round) override {
+    return CriusScheduler(oracle_, profiler_.config()).Schedule(round);
+  }
+
+  double ProfilingDelay(const TrainingJob& job, const Cluster& cluster) override {
+    return profiler_.ProfilingDelay(job, cluster);
+  }
+
+ private:
+  CriusScheduler profiler_;
 };
 
 }  // namespace crius

@@ -304,7 +304,6 @@ void Controller::RefreshSnapshot() {
     ++stats_.ticks;
   }
   ClusterView view;
-  view.virtual_now = virtual_now_;
   view.queued_jobs = stats.queued_jobs;
   view.oldest_wait = oldest_wait;
   view.shutting_down = false;
@@ -334,13 +333,8 @@ void Controller::RunLoop() {
   Histogram& schedule_ms = registry.GetHistogram("serve.phase_ms", {{"phase", "schedule"}});
   Histogram& log_ms = registry.GetHistogram("serve.phase_ms", {{"phase", "log"}});
   Histogram& round_ms = registry.GetHistogram("serve.round_ms");
-  // Per-shard backlog gauges, sampled just before each drain.
-  std::vector<Gauge*> shard_depth;
-  shard_depth.reserve(queue_.shards());
-  for (size_t i = 0; i < queue_.shards(); ++i) {
-    shard_depth.push_back(
-        &registry.GetGauge("serve.ingress.shard_depth", {{"shard", std::to_string(i)}}));
-  }
+  // Ingress backlog gauge, sampled just before each drain.
+  Gauge& ingress_depth = registry.GetGauge("serve.ingress.depth");
   using Clock = std::chrono::steady_clock;
   const auto ms_between = [](Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
@@ -355,15 +349,13 @@ void Controller::RunLoop() {
     }
     CRIUS_TRACE_SPAN("serve.tick");
     CRIUS_COUNTER_INC("serve.ticks");
-    // Phase 1/4 "drain": pop every ingress shard into the reusable batch
-    // buffer and merge deterministically (see EventQueue::DrainInto).
+    // Phase 1/4 "drain": pop the ingress ring into the reusable batch buffer
+    // in arrival order (see EventQueue::DrainInto).
     const auto t_round = Clock::now();
     drain_buf_.clear();
     {
       CRIUS_TRACE_SPAN("serve.phase.drain");
-      for (size_t i = 0; i < shard_depth.size(); ++i) {
-        shard_depth[i]->Set(static_cast<double>(queue_.shard_depth(i)));
-      }
+      ingress_depth.Set(static_cast<double>(queue_.size()));
       queue_.DrainInto(&drain_buf_);
     }
     const auto t_drained = Clock::now();

@@ -1,27 +1,11 @@
 #include "src/serve/event_queue.h"
 
-#include <algorithm>
-#include <string>
-#include <tuple>
 #include <utility>
 
 #include "src/util/check.h"
 #include "src/util/counters.h"
 
 namespace crius {
-
-namespace {
-
-// 64-bit mix (splitmix64 finalizer): spreads small consecutive ids across
-// routes so one busy tenant's jobs do not all land on one shard.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* RejectReasonName(RejectReason reason) {
   switch (reason) {
@@ -47,49 +31,18 @@ const char* RejectReasonName(RejectReason reason) {
   return "unknown";
 }
 
-EventQueue::EventQueue(EventQueueConfig config) : config_(config) {
-  CRIUS_CHECK_MSG(config_.shards >= 1, "EventQueue needs at least one shard");
+EventQueue::EventQueue(EventQueueConfig config)
+    : config_(config), ring_(config.capacity) {
   CRIUS_CHECK_MSG(config_.capacity >= 1, "EventQueue needs capacity >= 1");
-  const size_t per_shard = (config_.capacity + config_.shards - 1) / config_.shards;
-  rings_.reserve(config_.shards);
-  for (size_t i = 0; i < config_.shards; ++i) {
-    rings_.push_back(std::make_unique<MpscRing<ServeCommand>>(per_shard));
-  }
   CounterRegistry& registry = CounterRegistry::Global();
   accepted_counter_ = &registry.GetCounter("serve.ingress.accepted");
   rejected_counter_ = &registry.GetCounter("serve.ingress.rejected");
-  for (const RejectReason reason :
-       {RejectReason::kNone, RejectReason::kQueueFull, RejectReason::kClusterSaturated,
-        RejectReason::kStarvationGuard, RejectReason::kShuttingDown, RejectReason::kInfeasible,
-        RejectReason::kUnknownJob, RejectReason::kBadRequest,
-        RejectReason::kClusterPowerCap}) {
-    rejected_by_reason_[static_cast<size_t>(reason)] = &registry.GetCounter(
-        "serve.ingress.rejected_by_reason", MetricLabels{{"reason", RejectReasonName(reason)}});
+  for (size_t i = 0; i < kNumRejectReasons; ++i) {
+    rejected_by_reason_[i] = &registry.GetCounter(
+        "serve.ingress.rejected_by_reason",
+        MetricLabels{{"reason", RejectReasonName(static_cast<RejectReason>(i))}});
   }
   push_ns_ = &registry.GetHistogram("serve.ingress.push_ns");
-  merge_ms_ = &registry.GetHistogram("serve.ingress.merge_ms");
-}
-
-uint32_t EventQueue::RouteOf(const ServeCommand& cmd) const {
-  // Job-identity commands share a route (submit before cancel of the same job
-  // stays ordered); health commands of one node likewise. The shutdown latch
-  // never reaches a ring.
-  uint64_t key = 0;
-  switch (cmd.kind) {
-    case ServeCommand::Kind::kSubmit:
-      key = static_cast<uint64_t>(cmd.job.id);
-      break;
-    case ServeCommand::Kind::kCancel:
-      key = static_cast<uint64_t>(cmd.job_id);
-      break;
-    case ServeCommand::Kind::kFailNode:
-    case ServeCommand::Kind::kRecoverNode:
-      key = 0x8000000000000000ULL | static_cast<uint64_t>(cmd.node_id);
-      break;
-    case ServeCommand::Kind::kShutdown:
-      return 0;
-  }
-  return static_cast<uint32_t>(Mix64(key) % kRoutes);
 }
 
 std::optional<RejectReason> EventQueue::TryPush(ServeCommand cmd) {
@@ -120,12 +73,12 @@ std::optional<RejectReason> EventQueue::TryPush(ServeCommand cmd) {
     }
   }
   if (!reject.has_value()) {
-    cmd.route = RouteOf(cmd);
-    cmd.seq = route_seq_[cmd.route].fetch_add(1, std::memory_order_relaxed) + 1;
-    cmd.vt_stamp = view_virtual_now_.load(std::memory_order_relaxed);
-    const bool sample_latency = (cmd.seq & 0x3f) == 0;  // 1-in-64, off the hot path
+    // 1-in-64 per producer thread keeps the histogram mutex off the hot path
+    // without another shared atomic.
+    static thread_local uint32_t pushes = 0;
+    const bool sample_latency = (++pushes & 0x3f) == 0;
     const auto t0 = cmd.enqueue_wall;
-    if (!rings_[cmd.route % rings_.size()]->TryPush(std::move(cmd))) {
+    if (!ring_.TryPush(std::move(cmd))) {
       reject = RejectReason::kQueueFull;
     } else if (sample_latency) {
       push_ns_->Record(std::chrono::duration<double, std::nano>(
@@ -144,7 +97,7 @@ std::optional<RejectReason> EventQueue::TryPush(ServeCommand cmd) {
 
 size_t EventQueue::DrainInto(std::vector<ServeCommand>* out) {
   const size_t start = out->size();
-  // Sample the shutdown counter BEFORE popping the rings. A producer that
+  // Sample the shutdown counter BEFORE popping the ring. A producer that
   // pushed a command and then called Shutdown ordered its ring publish before
   // the counter increment; acquiring the counter first therefore guarantees
   // the pops below see every command accepted before that shutdown. Sampling
@@ -152,25 +105,11 @@ size_t EventQueue::DrainInto(std::vector<ServeCommand>* out) {
   // published between the pop and the sample.
   const uint64_t pushes = shutdown_pushes_.load(std::memory_order_acquire);
   ServeCommand cmd;
-  for (const auto& ring : rings_) {
-    while (ring->TryPop(&cmd)) {
-      out->push_back(std::move(cmd));
-    }
+  while (ring_.TryPop(&cmd)) {
+    out->push_back(std::move(cmd));
   }
-  // Deterministic merge: the key is independent of the physical shard count,
-  // so the applied order — and the session log built from it — is
-  // bit-identical across --shards (see header).
-  const auto t0 = std::chrono::steady_clock::now();
-  std::sort(out->begin() + static_cast<long>(start), out->end(),
-            [](const ServeCommand& a, const ServeCommand& b) {
-              return std::tie(a.vt_stamp, a.route, a.seq) <
-                     std::tie(b.vt_stamp, b.route, b.seq);
-            });
-  merge_ms_->Record(
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count());
-  // Deliver each pending shutdown push once, after the merged batch, so the
-  // batch's commands are still applied before the loop breaks (matching the
-  // pre-shard behavior of a shutdown riding the same drain).
+  // Deliver each pending shutdown push once, after the batch, so the batch's
+  // commands are still applied before the loop breaks.
   if (pushes > shutdown_delivered_) {
     shutdown_delivered_ = pushes;
     ServeCommand shutdown;
@@ -190,7 +129,6 @@ std::vector<ServeCommand> EventQueue::Drain() {
 
 void EventQueue::PublishClusterView(const ClusterView& view) {
   view_epoch_.fetch_add(1, std::memory_order_relaxed);
-  view_virtual_now_.store(view.virtual_now, std::memory_order_relaxed);
   view_queued_jobs_.store(view.queued_jobs, std::memory_order_relaxed);
   view_oldest_wait_.store(view.oldest_wait, std::memory_order_relaxed);
   view_projected_watts_.store(view.projected_watts, std::memory_order_relaxed);
@@ -198,18 +136,6 @@ void EventQueue::PublishClusterView(const ClusterView& view) {
     // Latches: once requested it is never un-requested.
     shutting_down_.store(true, std::memory_order_release);
   }
-}
-
-size_t EventQueue::size() const {
-  size_t total = 0;
-  for (const auto& ring : rings_) {
-    total += ring->SizeApprox();
-  }
-  return total;
-}
-
-size_t EventQueue::shard_depth(size_t shard) const {
-  return shard < rings_.size() ? rings_[shard]->SizeApprox() : 0;
 }
 
 }  // namespace crius

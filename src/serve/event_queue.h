@@ -1,14 +1,14 @@
-// Sharded, lock-free command path between the ingress threads and the
-// controller's round loop, with admission control.
+// Lock-free command path between the ingress threads and the controller's
+// round loop, with admission control.
 //
 // Ingress (socket handler threads, bench client threads) calls TryPush; the
-// controller drains every shard once per tick and publishes back an
+// controller drains the queue once per tick and publishes back an
 // epoch-stamped view of the cluster (PublishClusterView) that the admission
 // checks read. All admission policy lives here so it is unit-testable
 // without sockets or a controller:
 //
-//   * kQueueFull         -- the command's ingress shard is at capacity
-//                           (backpressure: the controller is not keeping up).
+//   * kQueueFull         -- the queue is at capacity (backpressure: the
+//                           controller is not keeping up).
 //   * kClusterSaturated  -- too many jobs already waiting for GPUs
 //                           (max_pending_jobs); admitting more would only
 //                           grow the queue, so the submitter is told to back
@@ -32,23 +32,18 @@
 // been requested, after which the shutdown latch rejects them too (the
 // session is ending; the drain phase settles the remaining state).
 //
-// Sharding and the deterministic merge
-// ------------------------------------
-// The hot path is lock-free: every command is routed by its job/class key to
-// one of kRoutes logical routes (route = hash(key) % kRoutes), claims a
-// per-route monotone sequence number, is stamped with the published view's
-// virtual time, and is pushed into the MPSC ring of the physical shard that
-// owns the route (route % shards). The controller's drain phase pops every
-// ring and merges the batch by the (virtual-time, route, seq) key. None of
-// those three stamps depends on the physical shard count, so for the same
-// ingress sequence the merged — and therefore applied, logged, and replayed —
-// command order is bit-identical across --shards 1/2/8, the same way
-// parallel_determinism_test proves scheduling is across --threads. Commands
-// that share a route (all commands of one job; all health events of one
-// node) keep their arrival order via the per-route seq.
+// One ingress ring, drained in arrival order
+// -------------------------------------------
+// Every accepted command is pushed into one bounded Vyukov MPSC ring
+// (src/util/mpsc_ring.h); the controller's drain phase pops it in ticket
+// order, which is the order the pushes linearized in. That drained order is
+// the applied order and is what the session log records, so replay needs no
+// ordering rule of its own: live and replay feed one SimEngine the same
+// sequence. Commands one producer pushes (one connection's submit-then-cancel)
+// keep their relative order.
 //
 // The cluster view is epoch-published: the controller bumps an epoch counter
-// and stores the new queued-jobs / oldest-wait / virtual-now fields as plain
+// and stores the new queued-jobs / oldest-wait / projected-watts fields as plain
 // atomics (the same generation-stamping idea as src/util/gen_memo.h and
 // Cluster::health_epoch). Admission reads them without any lock; a torn read
 // across fields can only mis-route one admission decision by one tick, which
@@ -59,8 +54,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -84,6 +79,10 @@ enum class RejectReason : uint8_t {
   kClusterPowerCap,  // projected cluster draw at/over --power-cap-watts
 };
 
+// Number of RejectReason values; sizes every per-reason table.
+inline constexpr size_t kNumRejectReasons =
+    static_cast<size_t>(RejectReason::kClusterPowerCap) + 1;
+
 // Stable machine-readable token ("queue_full", ...) used in protocol error
 // responses and counters.
 const char* RejectReasonName(RejectReason reason);
@@ -98,24 +97,14 @@ struct ServeCommand {
   int node_id = -1;     // kFailNode / kRecoverNode
   bool drain = true;    // kShutdown: drain the system before exiting?
 
-  // Assigned by TryPush; together the deterministic merge key. `route` is the
-  // logical shard (stable under any physical shard count), `seq` the
-  // per-route monotone sequence, `vt_stamp` the published virtual time at
-  // admission.
-  uint32_t route = 0;
-  uint64_t seq = 0;
-  double vt_stamp = 0.0;
   // Ingress wall time (decision latency = applied-at-tick wall time minus
   // this).
   std::chrono::steady_clock::time_point enqueue_wall{};
 };
 
 struct EventQueueConfig {
-  // Total command-queue capacity (backpressure bound), split evenly across
-  // shards (each shard gets ceil(capacity / shards) slots, enforced exactly).
+  // Command-queue capacity (exact backpressure bound).
   size_t capacity = 256;
-  // Physical ingress shards (one lock-free MPSC ring each).
-  size_t shards = 1;
   // Reject submissions while this many jobs already wait for GPUs; 0 = no
   // limit.
   int max_pending_jobs = 0;
@@ -131,7 +120,6 @@ struct EventQueueConfig {
 // The controller's per-tick feedback, published with an epoch stamp and read
 // lock-free by every admission check.
 struct ClusterView {
-  double virtual_now = 0.0;
   int queued_jobs = 0;
   double oldest_wait = 0.0;
   bool shutting_down = false;
@@ -142,21 +130,17 @@ struct ClusterView {
 
 class EventQueue {
  public:
-  // Logical routes; fixed so the merge key never depends on the physical
-  // shard count.
-  static constexpr size_t kRoutes = 64;
-
   explicit EventQueue(EventQueueConfig config);
 
   // Admission-checks and enqueues `cmd`. Returns std::nullopt on success
-  // (cmd.route / cmd.seq / cmd.vt_stamp / cmd.enqueue_wall were stamped), or
-  // the rejection reason. Lock-free; safe from any thread.
+  // (cmd.enqueue_wall was stamped), or the rejection reason. Lock-free; safe
+  // from any thread.
   std::optional<RejectReason> TryPush(ServeCommand cmd);
 
-  // Pops every queued command from every shard and appends the batch to
-  // *out in deterministic (vt_stamp, route, seq) merge order; a pending
-  // shutdown is delivered once, at the end of the batch. Reuses out's
-  // capacity (clear it between ticks to avoid re-applying old commands).
+  // Pops every queued command and appends the batch to *out in arrival
+  // order; a pending shutdown is delivered once, at the end of the batch.
+  // Reuses out's capacity (clear it between ticks to avoid re-applying old
+  // commands).
   // Controller-thread only: single consumer.
   size_t DrainInto(std::vector<ServeCommand>* out);
 
@@ -168,24 +152,17 @@ class EventQueue {
   // the view or a kShutdown push) it is never un-requested.
   void PublishClusterView(const ClusterView& view);
 
-  // Approximate total backlog across shards (racy while producers run).
-  size_t size() const;
-  // Approximate depth of one physical shard (for the per-shard gauges).
-  size_t shard_depth(size_t shard) const;
-  size_t shards() const { return rings_.size(); }
+  // Approximate backlog (racy while producers run).
+  size_t size() const { return ring_.SizeApprox(); }
   uint64_t view_epoch() const { return view_epoch_.load(std::memory_order_relaxed); }
   const EventQueueConfig& config() const { return config_; }
 
  private:
-  uint32_t RouteOf(const ServeCommand& cmd) const;
-
   const EventQueueConfig config_;
-  std::vector<std::unique_ptr<MpscRing<ServeCommand>>> rings_;
-  std::atomic<uint64_t> route_seq_[kRoutes] = {};
+  MpscRing<ServeCommand> ring_;
 
   // Epoch-published cluster view (all relaxed atomics; see header comment).
   std::atomic<uint64_t> view_epoch_{0};
-  std::atomic<double> view_virtual_now_{0.0};
   std::atomic<int> view_queued_jobs_{0};
   std::atomic<double> view_oldest_wait_{0.0};
   std::atomic<double> view_projected_watts_{0.0};
@@ -202,9 +179,8 @@ class EventQueue {
   // mutex; the push path must not).
   Counter* accepted_counter_;
   Counter* rejected_counter_;
-  Counter* rejected_by_reason_[9];
+  Counter* rejected_by_reason_[kNumRejectReasons];
   Histogram* push_ns_;
-  Histogram* merge_ms_;
 };
 
 }  // namespace crius

@@ -281,8 +281,8 @@ std::string ErrorResponse(RejectReason reason, const std::string& message) {
     // Admission rejects ARE the serve hot path under overload (every
     // over-capacity submission produces one); the message-less response per
     // reason is a constant line, so serialize each exactly once.
-    static const std::array<std::string, 8> kCached = [] {
-      std::array<std::string, 8> cached;
+    static const std::array<std::string, kNumRejectReasons> kCached = [] {
+      std::array<std::string, kNumRejectReasons> cached;
       for (size_t i = 0; i < cached.size(); ++i) {
         JsonObject obj;
         obj["ok"] = JsonValue::Bool(false);
@@ -291,17 +291,12 @@ std::string ErrorResponse(RejectReason reason, const std::string& message) {
       }
       return cached;
     }();
-    const auto index = static_cast<size_t>(reason);
-    if (index < kCached.size()) {
-      return kCached[index];
-    }
+    return kCached[static_cast<size_t>(reason)];
   }
   JsonObject obj;
   obj["ok"] = JsonValue::Bool(false);
   obj["reason"] = JsonValue::String(RejectReasonName(reason));
-  if (!message.empty()) {
-    obj["message"] = JsonValue::String(message);
-  }
+  obj["message"] = JsonValue::String(message);
   return Serialize(obj);
 }
 

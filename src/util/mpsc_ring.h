@@ -8,7 +8,7 @@
 // one release store per slot, no CAS. Neither side ever takes a lock, so a
 // stalled producer cannot block the consumer and vice versa — the property
 // the serve ingress path needs to scale past a mutex-guarded deque (see
-// src/serve/event_queue.h, which runs one of these rings per shard).
+// src/serve/event_queue.h, whose ingress is one of these rings).
 //
 // Guarantees:
 //   * TryPush is lock-free and wait-free in the absence of contention; under

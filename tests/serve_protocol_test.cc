@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace crius {
 namespace serve {
 namespace {
@@ -92,6 +94,20 @@ TEST(ProtocolResponseTest, OkAndErrorShapes) {
             R"({"ok":false,"reason":"queue_full"})");
   EXPECT_EQ(ErrorResponse(RejectReason::kBadRequest, "what"),
             R"({"message":"what","ok":false,"reason":"bad_request"})");
+}
+
+TEST(ProtocolResponseTest, EveryRejectReasonHasItsMessagelessLine) {
+  // Message-less error lines are cached per reason; every RejectReason,
+  // including the last one (cluster_power_cap), must map to its own token.
+  for (size_t i = 1; i < kNumRejectReasons; ++i) {
+    const auto reason = static_cast<RejectReason>(i);
+    const std::string expected =
+        std::string(R"({"ok":false,"reason":")") + RejectReasonName(reason) + "\"}";
+    EXPECT_EQ(ErrorResponse(reason), expected) << "reason " << i;
+    EXPECT_EQ(ErrorResponse(reason), ErrorResponse(reason, ""));
+  }
+  EXPECT_EQ(ErrorResponse(RejectReason::kClusterPowerCap),
+            R"({"ok":false,"reason":"cluster_power_cap"})");
 }
 
 TEST(ProtocolSubmitTest, RoundTripThroughRequest) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <tuple>
 #include <vector>
 
 namespace crius {
@@ -61,69 +59,25 @@ TEST(RejectReasonTest, NamesAreMachineReadableTokens) {
   EXPECT_STREQ(RejectReasonName(RejectReason::kClusterPowerCap), "cluster_power_cap");
 }
 
-TEST(EventQueueTest, AcceptsAndDrainsInMergeOrder) {
+TEST(EventQueueTest, AcceptsAndDrainsInArrivalOrder) {
   EventQueue queue(EventQueueConfig{});
-  // Same job id = same route: arrival order is preserved via the per-route
-  // seq even though the drain re-sorts the batch.
   EXPECT_FALSE(queue.TryPush(Submit(7)).has_value());
   EXPECT_FALSE(queue.TryPush(Cancel(7)).has_value());
+  EXPECT_FALSE(queue.TryPush(FailNode(2)).has_value());
   EXPECT_FALSE(queue.TryPush(Submit(8)).has_value());
-  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_EQ(queue.size(), 4u);
 
   const auto cmds = queue.Drain();
   EXPECT_EQ(queue.size(), 0u);
-  ASSERT_EQ(cmds.size(), 3u);
-  // The batch comes back sorted by the deterministic merge key.
-  for (size_t i = 1; i < cmds.size(); ++i) {
-    EXPECT_LT(std::tie(cmds[i - 1].vt_stamp, cmds[i - 1].route, cmds[i - 1].seq),
-              std::tie(cmds[i].vt_stamp, cmds[i].route, cmds[i].seq));
-  }
-  // Submit(7) and Cancel(7) share a route and keep arrival order.
-  size_t submit7 = cmds.size(), cancel7 = cmds.size();
-  for (size_t i = 0; i < cmds.size(); ++i) {
-    if (cmds[i].kind == ServeCommand::Kind::kSubmit && cmds[i].job.id == 7) submit7 = i;
-    if (cmds[i].kind == ServeCommand::Kind::kCancel) cancel7 = i;
-  }
-  ASSERT_LT(submit7, cmds.size());
-  ASSERT_LT(cancel7, cmds.size());
-  EXPECT_EQ(cmds[submit7].route, cmds[cancel7].route);
-  EXPECT_LT(submit7, cancel7);
-  EXPECT_LT(cmds[submit7].seq, cmds[cancel7].seq);
-}
-
-TEST(EventQueueTest, MergeOrderIsIdenticalAcrossShardCounts) {
-  // The same ingress sequence drains in the same order for any physical
-  // shard count: the (vt_stamp, route, seq) key only depends on command
-  // content and arrival order, never on which ring a command landed in.
-  auto run = [](size_t shards) {
-    EventQueueConfig config;
-    config.capacity = 256;
-    config.shards = shards;
-    EventQueue queue(config);
-    for (int64_t id = 1; id <= 40; ++id) {
-      EXPECT_FALSE(queue.TryPush(Submit(id)).has_value());
-      if (id % 3 == 0) {
-        EXPECT_FALSE(queue.TryPush(Cancel(id)).has_value());
-      }
-      if (id % 7 == 0) {
-        EXPECT_FALSE(queue.TryPush(FailNode(static_cast<int>(id))).has_value());
-      }
-    }
-    std::vector<std::tuple<int, int64_t, uint32_t, uint64_t>> order;
-    for (const ServeCommand& cmd : queue.Drain()) {
-      const int64_t id = cmd.kind == ServeCommand::Kind::kSubmit ? cmd.job.id
-                         : cmd.kind == ServeCommand::Kind::kCancel
-                             ? cmd.job_id
-                             : static_cast<int64_t>(cmd.node_id);
-      order.emplace_back(static_cast<int>(cmd.kind), id, cmd.route, cmd.seq);
-    }
-    return order;
-  };
-
-  const auto one = run(1);
-  EXPECT_EQ(one.size(), 40u + 13u + 5u);
-  EXPECT_EQ(one, run(2));
-  EXPECT_EQ(one, run(8));
+  ASSERT_EQ(cmds.size(), 4u);
+  EXPECT_EQ(cmds[0].kind, ServeCommand::Kind::kSubmit);
+  EXPECT_EQ(cmds[0].job.id, 7);
+  EXPECT_EQ(cmds[1].kind, ServeCommand::Kind::kCancel);
+  EXPECT_EQ(cmds[1].job_id, 7);
+  EXPECT_EQ(cmds[2].kind, ServeCommand::Kind::kFailNode);
+  EXPECT_EQ(cmds[2].node_id, 2);
+  EXPECT_EQ(cmds[3].kind, ServeCommand::Kind::kSubmit);
+  EXPECT_EQ(cmds[3].job.id, 8);
 }
 
 TEST(EventQueueTest, CapacityRejectsEverythingButShutdown) {
@@ -143,6 +97,27 @@ TEST(EventQueueTest, CapacityRejectsEverythingButShutdown) {
   // The shutdown command must always get through, or a full queue would make
   // the daemon unstoppable.
   EXPECT_FALSE(queue.TryPush(Shutdown()).has_value());
+}
+
+TEST(EventQueueTest, AcceptsExactlyCapacityBeforeQueueFull) {
+  // One ring, so the bound is exact for any capacity, not only powers of two:
+  // push `capacity` commands, then the next one is backpressured.
+  for (const size_t capacity : {1u, 3u, 5u, 8u, 13u}) {
+    EventQueueConfig config;
+    config.capacity = capacity;
+    EventQueue queue(config);
+    size_t accepted = 0;
+    for (; accepted < 2 * capacity + 1; ++accepted) {
+      const auto reject = queue.TryPush(Submit(static_cast<int64_t>(accepted)));
+      if (reject.has_value()) {
+        EXPECT_EQ(*reject, RejectReason::kQueueFull);
+        break;
+      }
+    }
+    EXPECT_EQ(accepted, capacity) << "capacity " << capacity;
+    EXPECT_EQ(queue.size(), capacity);
+    EXPECT_EQ(queue.Drain().size(), capacity);
+  }
 }
 
 TEST(EventQueueTest, CapacityOneStillBackpressuresAndRecovers) {
@@ -318,21 +293,25 @@ TEST(EventQueueTest, DrainIntoReusesCallerBuffer) {
   EXPECT_EQ(batch[1].job.id, 3);
 }
 
-TEST(EventQueueTest, ShardDepthTracksPerShardBacklog) {
+TEST(EventQueueTest, SizeTracksBacklogAcrossPushesAndDrains) {
+  // size() feeds the serve.ingress.depth gauge: it counts accepted commands
+  // not yet drained, and rejected pushes leave it unchanged.
   EventQueueConfig config;
-  config.capacity = 64;
-  config.shards = 4;
+  config.capacity = 3;
   EventQueue queue(config);
-  for (int64_t id = 1; id <= 16; ++id) {
-    EXPECT_FALSE(queue.TryPush(Submit(id)).has_value());
-  }
-  size_t total = 0;
-  for (size_t shard = 0; shard < queue.shards(); ++shard) {
-    total += queue.shard_depth(shard);
-  }
-  EXPECT_EQ(total, 16u);
-  EXPECT_EQ(queue.size(), 16u);
-  EXPECT_EQ(queue.shard_depth(99), 0u);
+  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_FALSE(queue.TryPush(Submit(1)).has_value());
+  EXPECT_FALSE(queue.TryPush(Cancel(1)).has_value());
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_FALSE(queue.TryPush(FailNode(0)).has_value());
+  EXPECT_TRUE(queue.TryPush(Submit(2)).has_value());
+  EXPECT_EQ(queue.size(), 3u);
+
+  std::vector<ServeCommand> batch;
+  EXPECT_EQ(queue.DrainInto(&batch), 3u);
+  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_FALSE(queue.TryPush(Submit(3)).has_value());
+  EXPECT_EQ(queue.size(), 1u);
 }
 
 TEST(EventQueueTest, PublishBumpsViewEpoch) {

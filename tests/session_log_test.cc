@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace crius {
 namespace {
@@ -14,7 +15,6 @@ SessionMeta SampleMeta() {
   meta.seed = 1234;
   meta.search_depth = 2;
   meta.deadline_aware = true;
-  meta.incremental = false;
   meta.schedule_interval = 123.25;
   meta.restart_overhead = 45.5;
   meta.charge_profiling = false;
@@ -40,10 +40,30 @@ TEST(SessionMetaTest, DetailRoundTrip) {
   EXPECT_EQ(parsed.seed, meta.seed);
   EXPECT_EQ(parsed.search_depth, meta.search_depth);
   EXPECT_EQ(parsed.deadline_aware, meta.deadline_aware);
-  EXPECT_EQ(parsed.incremental, meta.incremental);
   EXPECT_DOUBLE_EQ(parsed.schedule_interval, meta.schedule_interval);
   EXPECT_DOUBLE_EQ(parsed.restart_overhead, meta.restart_overhead);
   EXPECT_EQ(parsed.charge_profiling, meta.charge_profiling);
+}
+
+TEST(SessionMetaTest, ParsesLegacyIncrementalKey) {
+  // Logs recorded while the ranking memo was switchable carry
+  // `incremental=0|1`; both replay identically, so the key parses and is
+  // ignored rather than aborting as unknown.
+  for (const char* flag : {"0", "1"}) {
+    const SessionMeta parsed = ParseSessionMeta(
+        std::string("cluster=testbed;scheduler=crius;seed=42;search_depth=3;deadline_aware=0;"
+                    "incremental=") +
+            flag + ";schedule_interval=300;restart_overhead=60;charge_profiling=1;reconfig=0",
+        2);
+    EXPECT_EQ(parsed.cluster_spec, "testbed");
+    EXPECT_EQ(parsed.scheduler, "crius");
+    EXPECT_EQ(parsed.seed, 42u);
+    EXPECT_EQ(parsed.search_depth, 3);
+    EXPECT_DOUBLE_EQ(parsed.schedule_interval, 300.0);
+    EXPECT_TRUE(parsed.charge_profiling);
+    EXPECT_FALSE(parsed.reconfig);
+  }
+  EXPECT_EQ(SerializeSessionMeta(SessionMeta{}).find("incremental"), std::string::npos);
 }
 
 TEST(SessionMetaTest, PowerFieldsAbsentUnlessEnabled) {

@@ -3,7 +3,7 @@
 // Wraps a Scheduler behind a concurrent ingress path: clients connect to a
 // Unix domain socket and speak the line-delimited JSON protocol
 // (src/serve/protocol.h) to submit/cancel jobs, inject node failures and
-// recoveries, and query state. A single controller thread runs incremental
+// recoveries, and query state. A single controller thread runs event-driven
 // scheduling rounds on a virtual clock; every accepted command is appended to
 // a session log that `--replay` (or the library's ReplaySession) re-executes
 // bit-identically through the batch simulator.
@@ -57,7 +57,6 @@ int Run(int argc, const char* const* argv) {
   int64_t seed = 42;
   int64_t search_depth = 3;
   bool deadline_aware = false;
-  bool incremental = true;
   bool no_profiling_cost = false;
   double schedule_interval = 5.0 * kMinute;
   double restart_overhead = 60.0;
@@ -70,7 +69,6 @@ int Run(int argc, const char* const* argv) {
   double tick_virtual = 60.0;
   double tick_wall = 0.02;
   int64_t queue_capacity = 256;
-  int64_t shards = 1;
   int64_t max_pending = 0;
   double starvation_wait = 0.0;
   double power_cap_watts = 0.0;
@@ -89,7 +87,6 @@ int Run(int argc, const char* const* argv) {
   flags.Int("seed", &seed, "oracle / profiling-noise seed");
   flags.Int("search-depth", &search_depth, "Crius scaling-search depth");
   flags.Bool("deadline-aware", &deadline_aware, "run Crius in deadline-aware mode");
-  flags.Bool("incremental", &incremental, "event-driven incremental Crius rounds");
   flags.Bool("no-profiling-cost", &no_profiling_cost,
              "skip charging Crius's Cell-profiling delay");
   flags.Double("schedule-interval", &schedule_interval, "scheduling round interval, seconds");
@@ -110,10 +107,7 @@ int Run(int argc, const char* const* argv) {
   flags.Double("tick-virtual-seconds", &tick_virtual,
                "virtual seconds the session clock advances per controller tick");
   flags.Double("tick-wall-seconds", &tick_wall, "wall-clock pause between ticks");
-  flags.Int("queue-capacity", &queue_capacity, "ingress command-queue capacity (total across shards)");
-  flags.Int("shards", &shards,
-            "lock-free ingress shards; the round loop merges them deterministically, so the "
-            "session log and --replay output are bit-identical across shard counts");
+  flags.Int("queue-capacity", &queue_capacity, "ingress command-queue capacity");
   flags.Int("max-pending", &max_pending,
             "reject submissions while this many jobs wait for GPUs (0 = no limit)");
   flags.Double("starvation-wait", &starvation_wait,
@@ -148,10 +142,6 @@ int Run(int argc, const char* const* argv) {
     std::fprintf(stderr, "crius_serve: --metrics-every-ticks must be > 0\n");
     return 1;
   }
-  if (shards < 1 || shards > 1024) {
-    std::fprintf(stderr, "crius_serve: --shards must be in 1..1024\n");
-    return 1;
-  }
 
   ThreadPool::SetGlobalThreads(static_cast<int>(threads));
 
@@ -171,7 +161,6 @@ int Run(int argc, const char* const* argv) {
   meta.seed = static_cast<uint64_t>(seed);
   meta.search_depth = static_cast<int>(search_depth);
   meta.deadline_aware = deadline_aware;
-  meta.incremental = incremental;
   meta.schedule_interval = schedule_interval;
   meta.restart_overhead = restart_overhead;
   meta.charge_profiling = !no_profiling_cost;
@@ -209,7 +198,6 @@ int Run(int argc, const char* const* argv) {
   controller_config.metrics_csv = metrics_csv;
   controller_config.metrics_every_ticks = static_cast<int>(metrics_every_ticks);
   controller_config.queue.capacity = static_cast<size_t>(queue_capacity);
-  controller_config.queue.shards = static_cast<size_t>(shards);
   controller_config.queue.max_pending_jobs = static_cast<int>(max_pending);
   controller_config.queue.starvation_wait = starvation_wait;
   controller_config.queue.power_cap_watts = power_cap_watts;
