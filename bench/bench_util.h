@@ -5,8 +5,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,76 +81,7 @@ class TimedScheduler : public Scheduler {
   int calls_ = 0;
 };
 
-// The bench binaries deliberately scan argv by hand instead of declaring a
-// FlagSet: every binary must ignore the driver-level flags it does not own
-// (--threads for the pool, --json for the report) and FlagSet::Parse rejects
-// unknown flags. These helpers keep that scanning in one place.
-
-// True when `flag` (e.g. "--smoke") appears verbatim in argv.
-inline bool BenchFlagPresent(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Value of "--name VALUE" / "--name=VALUE", or "" when absent.
-inline std::string BenchFlagValue(int argc, char** argv, const char* flag) {
-  const size_t len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-      return argv[i + 1];
-    }
-    if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return "";
-}
-
-// Integer value of "--name N" / "--name=N", or `fallback` when the flag is
-// absent or its value does not parse as an integer.
-inline int64_t BenchFlagInt(int argc, char** argv, const char* flag, int64_t fallback) {
-  const std::string value = BenchFlagValue(argc, argv, flag);
-  if (value.empty()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    std::fprintf(stderr, "warning: ignoring non-integer value '%s' for %s\n", value.c_str(),
-                 flag);
-    return fallback;
-  }
-  return static_cast<int64_t>(parsed);
-}
-
-// Double value of "--name X" / "--name=X", or `fallback` when the flag is
-// absent or its value does not parse as a number. Same warn-and-keep-default
-// policy as BenchFlagInt: garbage must never silently become 0.0.
-inline double BenchFlagDouble(int argc, char** argv, const char* flag, double fallback) {
-  const std::string value = BenchFlagValue(argc, argv, flag);
-  if (value.empty()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    std::fprintf(stderr, "warning: ignoring non-numeric value '%s' for %s\n", value.c_str(),
-                 flag);
-    return fallback;
-  }
-  return parsed;
-}
-
-// Path of the shared "--json PATH" bench-report flag; empty = no report.
-inline std::string BenchReportPathFromArgs(int argc, char** argv) {
-  return BenchFlagValue(argc, argv, "--json");
-}
-
-// Writes `report` to `path` (no-op when the flag was absent). The emitted
+// Writes `report` to `path` (no-op when the bench's --json flag was absent). The emitted
 // per-metric thresholds become the checked-in baseline's thresholds when a
 // run is promoted to bench/baselines/, so benches stamp loose bounds on
 // noisy wall-time metrics and tight ones on dimensionless ratios there.

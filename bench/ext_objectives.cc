@@ -19,7 +19,14 @@
 int main(int argc, char** argv) {
   using namespace crius;
   ConfigureBenchThreads(argc, argv);
-  const int jobs_override = static_cast<int>(BenchFlagInt(argc, argv, "--jobs", 0));
+  int64_t jobs_override = 0;
+  std::string report_path;
+  FlagSet flags("ext_objectives", "multi-objective weight sweep");
+  flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
+  flags.String("json", &report_path, "write a BENCH_objectives.json perf report to this path");
+  if (!flags.ParseKnown(argc, argv)) {
+    return 0;
+  }
 
   Cluster cluster = MakeSimulatedCluster();
   PerformanceOracle oracle(cluster, 42);
@@ -29,7 +36,7 @@ int main(int argc, char** argv) {
   config.seed = 7301;
   config.load = 1.1;
   if (jobs_override > 0) {
-    config.num_jobs = jobs_override;
+    config.num_jobs = static_cast<int>(jobs_override);
   }
   const auto trace = GenerateTrace(cluster, oracle, config);
   std::printf("Objective study: %zu jobs on %d GPUs\n", trace.size(), cluster.TotalGpus());
@@ -62,7 +69,6 @@ int main(int argc, char** argv) {
               "Jain's index at a modest aggregate-throughput cost -- Cell estimates\n"
               "support either objective unchanged (§6).\n");
 
-  const std::string report_path = BenchReportPathFromArgs(argc, argv);
   if (!report_path.empty()) {
     BenchReport report;
     report.bench = "ext_objectives";

@@ -61,8 +61,16 @@ double Kwh(double joules) { return joules / 3.6e6; }
 int main(int argc, char** argv) {
   using namespace crius;
   ConfigureBenchThreads(argc, argv);
-  const bool smoke = BenchFlagPresent(argc, argv, "--smoke");
-  const int jobs_override = static_cast<int>(BenchFlagInt(argc, argv, "--jobs", 0));
+  bool smoke = false;
+  int64_t jobs_override = 0;
+  std::string report_path;
+  FlagSet flags("ext_power", "power/DVFS Pareto sweep");
+  flags.Bool("smoke", &smoke, "small CI-sized run with a pass/fail gate");
+  flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
+  flags.String("json", &report_path, "write a BENCH_power.json perf report to this path");
+  if (!flags.ParseKnown(argc, argv)) {
+    return 0;
+  }
 
   Cluster cluster = MakePhysicalTestbed();
   TraceConfig trace_config = PhillySixHourConfig();
@@ -71,7 +79,7 @@ int main(int argc, char** argv) {
     trace_config.num_jobs = 24;
   }
   if (jobs_override > 0) {
-    trace_config.num_jobs = jobs_override;
+    trace_config.num_jobs = static_cast<int>(jobs_override);
   }
   PerformanceOracle trace_oracle(cluster, 42);
   const auto trace = GenerateTrace(cluster, trace_oracle, trace_config);
@@ -125,7 +133,6 @@ int main(int argc, char** argv) {
               "avg JCT %+.1f%%\n",
               dvfs_states.back().c_str(), -100.0 * energy_saved, 100.0 * jct_cost);
 
-  const std::string report_path = BenchReportPathFromArgs(argc, argv);
   if (!report_path.empty()) {
     BenchReport report;
     report.bench = "ext_power";

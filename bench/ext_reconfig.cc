@@ -71,8 +71,16 @@ SimResult RunOne(const Cluster& cluster, const std::vector<TrainingJob>& trace,
 int main(int argc, char** argv) {
   using namespace crius;
   ConfigureBenchThreads(argc, argv);
-  const bool smoke = BenchFlagPresent(argc, argv, "--smoke");
-  const int jobs_override = static_cast<int>(BenchFlagInt(argc, argv, "--jobs", 0));
+  bool smoke = false;
+  int64_t jobs_override = 0;
+  std::string report_path;
+  FlagSet flags("ext_reconfig", "live reconfiguration sweep");
+  flags.Bool("smoke", &smoke, "small CI-sized run with a pass/fail gate");
+  flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
+  flags.String("json", &report_path, "write a BENCH_reconfig.json perf report to this path");
+  if (!flags.ParseKnown(argc, argv)) {
+    return 0;
+  }
 
   Cluster cluster = MakePhysicalTestbed();
   TraceConfig trace_config = PhillySixHourConfig();
@@ -81,7 +89,7 @@ int main(int argc, char** argv) {
     trace_config.num_jobs = 32;
   }
   if (jobs_override > 0) {
-    trace_config.num_jobs = jobs_override;
+    trace_config.num_jobs = static_cast<int>(jobs_override);
   }
   PerformanceOracle trace_oracle(cluster, 42);
   const auto trace = GenerateTrace(cluster, trace_oracle, trace_config);
@@ -141,7 +149,6 @@ int main(int argc, char** argv) {
               rate_label(mtbf_hours.back()).c_str(), 100.0 * goodput_delta,
               p99_delta / kMinute, harsh.reconfig.migrations);
 
-  const std::string report_path = BenchReportPathFromArgs(argc, argv);
   if (!report_path.empty()) {
     BenchReport report;
     report.bench = "ext_reconfig";

@@ -116,8 +116,16 @@ std::vector<RoundSample> RunMode(const Cluster& cluster, const std::vector<Train
 int main(int argc, char** argv) {
   using namespace crius;
   ConfigureBenchThreads(argc, argv);
-  const bool smoke = BenchFlagPresent(argc, argv, "--smoke");
-  const int jobs_override = static_cast<int>(BenchFlagInt(argc, argv, "--jobs", 0));
+  bool smoke = false;
+  int64_t jobs_override = 0;
+  std::string report_path;
+  FlagSet flags("ext_rounds", "scheduling-round latency");
+  flags.Bool("smoke", &smoke, "small CI-sized run with a pass/fail gate");
+  flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
+  flags.String("json", &report_path, "write a BENCH_rounds.json perf report to this path");
+  if (!flags.ParseKnown(argc, argv)) {
+    return 0;
+  }
 
   Cluster cluster = smoke ? MakePhysicalTestbed() : MakeSimulatedCluster();
   TraceConfig trace_config = smoke ? PhillySixHourConfig() : PhillyWeekHeavyConfig();
@@ -126,7 +134,7 @@ int main(int argc, char** argv) {
     trace_config.num_jobs = 48;
   }
   if (jobs_override > 0) {
-    trace_config.num_jobs = jobs_override;
+    trace_config.num_jobs = static_cast<int>(jobs_override);
   }
   PerformanceOracle trace_oracle(cluster, 42);
   const auto trace = GenerateTrace(cluster, trace_oracle, trace_config);
@@ -198,7 +206,6 @@ int main(int argc, char** argv) {
                 full.median_all_ms / inc.median_all_ms, full.median_all_ms, inc.median_all_ms);
   }
 
-  const std::string report_path = BenchReportPathFromArgs(argc, argv);
   if (!report_path.empty()) {
     BenchReport report;
     report.bench = "ext_rounds";

@@ -239,22 +239,29 @@ int RunDeterminism() {
 int main(int argc, char** argv) {
   using namespace crius;
   ConfigureBenchThreads(argc, argv);
-  if (BenchFlagPresent(argc, argv, "--determinism")) {
+  bool determinism = false;
+  bool smoke = false;
+  int64_t clients_flag = 0;
+  int64_t requests_flag = 0;
+  int64_t batch_flag = 0;
+  std::string report_path;
+  FlagSet flags("ext_serve", "closed-loop load generator for the serving daemon");
+  flags.Bool("determinism", &determinism, "scripted-session determinism gate");
+  flags.Bool("smoke", &smoke, "tiny-queue admission-control gate");
+  flags.Int("clients", &clients_flag, "client threads (0 = mode default)");
+  flags.Int("requests", &requests_flag, "submissions per client (0 = mode default)");
+  flags.Int("batch", &batch_flag, "pipelined submissions per round trip (0 = mode default)");
+  flags.String("json", &report_path, "write a BENCH_serve.json perf report to this path");
+  if (!flags.ParseKnown(argc, argv)) {
+    return 0;
+  }
+  if (determinism) {
     return RunDeterminism();
   }
-  const bool smoke = BenchFlagPresent(argc, argv, "--smoke");
-  size_t clients = static_cast<size_t>(BenchFlagInt(argc, argv, "--clients", 0));
-  size_t requests = static_cast<size_t>(BenchFlagInt(argc, argv, "--requests", 0));
-  size_t batch = static_cast<size_t>(BenchFlagInt(argc, argv, "--batch", 0));
-  if (clients == 0) {
-    clients = smoke ? 4 : 8;
-  }
-  if (requests == 0) {
-    requests = smoke ? 40 : 20000;
-  }
-  if (batch == 0) {
-    batch = smoke ? 1 : 256;
-  }
+  const size_t clients = static_cast<size_t>(clients_flag > 0 ? clients_flag : smoke ? 4 : 8);
+  const size_t requests =
+      static_cast<size_t>(requests_flag > 0 ? requests_flag : smoke ? 40 : 20000);
+  const size_t batch = static_cast<size_t>(batch_flag > 0 ? batch_flag : smoke ? 1 : 256);
 
   // The same runtime crius_serve builds from its flags; testbed keeps the
   // accepted jobs cheap to place. Full mode runs fcfs: the bench saturates
@@ -319,7 +326,7 @@ int main(int argc, char** argv) {
   // Let the controller apply everything still queued before sampling stats,
   // then stop without draining -- the bench measures ingress, not the sim.
   serve::Client probe;
-  serve::JsonObject response;
+  Json response;
   bool stats_ok = false;
   Controller::Stats stats;
   if (probe.Connect(socket_path, &error)) {
@@ -375,7 +382,6 @@ int main(int argc, char** argv) {
   std::printf("  controller         %zu ticks, %zu jobs accepted, %zu infeasible\n",
               stats.ticks, stats.accepted, stats.infeasible);
 
-  const std::string report_path = BenchReportPathFromArgs(argc, argv);
   if (!report_path.empty()) {
     size_t rejected = 0;
     for (const auto& [reason, count] : total.rejects) {

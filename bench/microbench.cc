@@ -137,10 +137,10 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   using namespace crius;
-  const std::string report_path = BenchReportPathFromArgs(argc, argv);
+  std::string report_path;
   bool smoke = false;
-  // Strip our own flags before google-benchmark sees argv (it rejects
-  // unknown --flags), and translate --smoke into a short min_time.
+  // Take our own flags out of argv before google-benchmark sees it (it
+  // rejects unknown --flags), and translate --smoke into a short min_time.
   std::vector<char*> bench_argv;
   std::string min_time_flag = "--benchmark_min_time=0.01";
   for (int i = 0; i < argc; ++i) {
@@ -149,10 +149,11 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      ++i;
+      report_path = argv[++i];
       continue;
     }
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
+      report_path = argv[i] + 7;
       continue;
     }
     bench_argv.push_back(argv[i]);

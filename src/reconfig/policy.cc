@@ -12,6 +12,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Job arrivals in one round delta that count as an "arrival burst" trigger.
+// Departures and health events always trigger (freed capacity is the main
+// grow source).
+constexpr int kArrivalBurst = 2;
+
+// Realized / estimated iteration-time ratio above which a job counts as
+// distressed (straggler escape may then target estimator-equal Cells).
+constexpr double kDistressFactor = 1.25;
+
 MigrationKind ClassifyMigration(const Cell& from, const Cell& to) {
   if (from.gpu_type != to.gpu_type) {
     return MigrationKind::kTypeSwap;
@@ -46,15 +55,12 @@ bool ReconfigPolicy::Triggered(const RoundContext& round) const {
         ++arrivals;
         break;
       case RoundEventKind::kJobDeparture:
-        if (config_.react_to_departures) {
-          return true;  // freed capacity: grow opportunities
-        }
-        break;
+        return true;  // freed capacity: grow opportunities
       default:
         break;
     }
   }
-  return arrivals >= config_.arrival_burst;
+  return arrivals >= kArrivalBurst;
 }
 
 double ReconfigPolicy::StretchIterTime(const ModelSpec& spec, const Cell& cell,
@@ -93,27 +99,27 @@ std::vector<MigrationAction> ReconfigPolicy::Propose(const RoundContext& round,
     free[static_cast<int>(a.type)] -= a.ngpus;
   }
 
-  // The *oldest* queued job left unassigned this round is waiting for
+  // Never grow a running job while a queued job is still waiting for GPUs:
+  // the *oldest* queued job left unassigned this round is waiting for
   // capacity in its requested pool; migrating a running job into that pool
   // (growing there, or swapping in from another type) would push its start
-  // further out. Only the oldest waiter's pool is protected: jobs behind it
-  // are blocked by queue order, not by the capacity a migration would take.
+  // further out (tail-JCT starvation). Only the oldest waiter's pool is
+  // protected: jobs behind it are blocked by queue order, not by the capacity
+  // a migration would take.
   std::array<bool, kNumGpuTypes> queue_waiting{};
-  if (config_.defer_growth_to_queue) {
-    const JobState* oldest = nullptr;
-    for (const JobState* js : round.jobs()) {
-      if (js->phase != JobPhase::kQueued ||
-          decision.assignments.find(js->job.id) != decision.assignments.end()) {
-        continue;
-      }
-      if (oldest == nullptr || js->job.submit_time < oldest->job.submit_time ||
-          (js->job.submit_time == oldest->job.submit_time && js->job.id < oldest->job.id)) {
-        oldest = js;
-      }
+  const JobState* oldest = nullptr;
+  for (const JobState* js : round.jobs()) {
+    if (js->phase != JobPhase::kQueued ||
+        decision.assignments.find(js->job.id) != decision.assignments.end()) {
+      continue;
     }
-    if (oldest != nullptr) {
-      queue_waiting[static_cast<int>(oldest->job.requested_type)] = true;
+    if (oldest == nullptr || js->job.submit_time < oldest->job.submit_time ||
+        (js->job.submit_time == oldest->job.submit_time && js->job.id < oldest->job.id)) {
+      oldest = js;
     }
+  }
+  if (oldest != nullptr) {
+    queue_waiting[static_cast<int>(oldest->job.requested_type)] = true;
   }
 
   // Running jobs the decision keeps in place, ascending id (round.jobs() is
@@ -169,7 +175,7 @@ std::vector<MigrationAction> ReconfigPolicy::Propose(const RoundContext& round,
           StretchIterTime(js->job.spec, cells[i], batch_scratch_.throughput[i], cluster);
     }
     // The estimator's view of the job's current size: best split at
-    // (type, ngpus). Realized-vs-estimated excess beyond distress_factor
+    // (type, ngpus). Realized-vs-estimated excess beyond kDistressFactor
     // marks slowdown the estimator cannot see (stragglers).
     double est_cur = kInf;
     for (size_t i = 0; i < cells.size(); ++i) {
@@ -180,7 +186,7 @@ std::vector<MigrationAction> ReconfigPolicy::Propose(const RoundContext& round,
     if (est_cur == kInf) {
       continue;  // current size not rankable (capacity degraded under it)
     }
-    const bool distressed = js->iter_time > config_.distress_factor * est_cur;
+    const bool distressed = js->iter_time > kDistressFactor * est_cur;
     const double current_remaining_s = remaining * js->iter_time;
 
     const MigrationAction* best = nullptr;

@@ -15,7 +15,7 @@
 //    job's *realized* rate, so the gain is in real seconds:
 //      gain = remaining * iter_time * (1 - est_iter(to) / est_iter(cur))
 //  * Distress: the realized iteration time exceeds the estimator's view of
-//    the current Cell by more than `distress_factor` (a straggler or
+//    the current Cell by more than `kDistressFactor` (a straggler or
 //    degraded hardware, which estimates never model). Then moving even to an
 //    estimator-equal Cell recovers the excess:
 //      gain = remaining * (iter_time - est_iter(to))
@@ -65,18 +65,6 @@ struct ReconfigConfig {
   double cooldown = 900.0;
   // Cap on accepted migrations per scheduling round (0 = unlimited).
   int max_migrations_per_round = 2;
-  // Job arrivals in one round delta that count as an "arrival burst" trigger.
-  int arrival_burst = 2;
-  // Also trigger on job departures (freed capacity is the main grow source).
-  bool react_to_departures = true;
-  // Never grow a running job while some queued job is still waiting for GPUs:
-  // free capacity then belongs to the queue, and growth would push the
-  // head-of-line job's start further out (tail-JCT starvation). Shrinks,
-  // re-splits, and same-size type swaps stay allowed.
-  bool defer_growth_to_queue = true;
-  // Realized / estimated iteration-time ratio above which a job counts as
-  // distressed (straggler escape may then target estimator-equal Cells).
-  double distress_factor = 1.25;
 };
 
 class ReconfigPolicy {

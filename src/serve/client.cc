@@ -10,6 +10,17 @@
 namespace crius {
 namespace serve {
 
+namespace {
+
+// A request object carrying just its command verb.
+Json Command(const std::string& cmd) {
+  Json request = Json::Object();
+  request.Set("cmd", Json::Str(cmd));
+  return request;
+}
+
+}  // namespace
+
 Client::~Client() { Close(); }
 
 bool Client::Connect(const std::string& socket_path, std::string* error) {
@@ -130,7 +141,7 @@ bool Client::CallBatch(const std::vector<std::string>& requests,
   return true;
 }
 
-bool Client::CallJson(const JsonObject& request, JsonObject* response, std::string* error) {
+bool Client::CallJson(const Json& request, Json* response, std::string* error) {
   std::string line;
   if (!Call(Serialize(request), &line, error)) {
     return false;
@@ -142,55 +153,47 @@ bool Client::CallJson(const JsonObject& request, JsonObject* response, std::stri
   return true;
 }
 
-bool Client::Submit(const TrainingJob& job, JsonObject* response, std::string* error) {
+bool Client::Submit(const TrainingJob& job, Json* response, std::string* error) {
   return CallJson(SubmitRequest(job), response, error);
 }
 
-bool Client::Cancel(int64_t job_id, JsonObject* response, std::string* error) {
-  JsonObject request;
-  request["cmd"] = JsonValue::String("cancel");
-  request["job_id"] = JsonValue::Number(static_cast<double>(job_id));
+bool Client::Cancel(int64_t job_id, Json* response, std::string* error) {
+  Json request = Command("cancel");
+  request.Set("job_id", Json::Number(static_cast<double>(job_id)));
   return CallJson(request, response, error);
 }
 
-bool Client::FailNode(int node_id, JsonObject* response, std::string* error) {
-  JsonObject request;
-  request["cmd"] = JsonValue::String("fail-node");
-  request["node_id"] = JsonValue::Number(node_id);
+bool Client::FailNode(int node_id, Json* response, std::string* error) {
+  Json request = Command("fail-node");
+  request.Set("node_id", Json::Number(node_id));
   return CallJson(request, response, error);
 }
 
-bool Client::RecoverNode(int node_id, JsonObject* response, std::string* error) {
-  JsonObject request;
-  request["cmd"] = JsonValue::String("recover-node");
-  request["node_id"] = JsonValue::Number(node_id);
+bool Client::RecoverNode(int node_id, Json* response, std::string* error) {
+  Json request = Command("recover-node");
+  request.Set("node_id", Json::Number(node_id));
   return CallJson(request, response, error);
 }
 
-bool Client::Query(int64_t job_id, JsonObject* response, std::string* error) {
-  JsonObject request;
-  request["cmd"] = JsonValue::String("query");
-  request["job_id"] = JsonValue::Number(static_cast<double>(job_id));
+bool Client::Query(int64_t job_id, Json* response, std::string* error) {
+  Json request = Command("query");
+  request.Set("job_id", Json::Number(static_cast<double>(job_id)));
   return CallJson(request, response, error);
 }
 
-bool Client::Stats(JsonObject* response, std::string* error) {
-  JsonObject request;
-  request["cmd"] = JsonValue::String("stats");
+bool Client::Stats(Json* response, std::string* error) {
+  return CallJson(Command("stats"), response, error);
+}
+
+bool Client::Metrics(const std::string& format, Json* response, std::string* error) {
+  Json request = Command("metrics");
+  request.Set("format", Json::Str(format));
   return CallJson(request, response, error);
 }
 
-bool Client::Metrics(const std::string& format, JsonObject* response, std::string* error) {
-  JsonObject request;
-  request["cmd"] = JsonValue::String("metrics");
-  request["format"] = JsonValue::String(format);
-  return CallJson(request, response, error);
-}
-
-bool Client::Shutdown(bool drain, JsonObject* response, std::string* error) {
-  JsonObject request;
-  request["cmd"] = JsonValue::String("shutdown");
-  request["mode"] = JsonValue::String(drain ? "drain" : "now");
+bool Client::Shutdown(bool drain, Json* response, std::string* error) {
+  Json request = Command("shutdown");
+  request.Set("mode", Json::Str(drain ? "drain" : "now"));
   return CallJson(request, response, error);
 }
 

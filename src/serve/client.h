@@ -46,21 +46,21 @@ class Client {
                  std::vector<std::string>* responses, std::string* error);
 
   // As Call, but serializes/parses the protocol's JSON objects.
-  bool CallJson(const JsonObject& request, JsonObject* response, std::string* error);
+  bool CallJson(const Json& request, Json* response, std::string* error);
 
   // --- Typed commands --------------------------------------------------------
   // Each returns false on transport errors; protocol-level rejections come
   // back through *response ("ok":false plus "reason").
-  bool Submit(const TrainingJob& job, JsonObject* response, std::string* error);
-  bool Cancel(int64_t job_id, JsonObject* response, std::string* error);
-  bool FailNode(int node_id, JsonObject* response, std::string* error);
-  bool RecoverNode(int node_id, JsonObject* response, std::string* error);
-  bool Query(int64_t job_id, JsonObject* response, std::string* error);
-  bool Stats(JsonObject* response, std::string* error);
+  bool Submit(const TrainingJob& job, Json* response, std::string* error);
+  bool Cancel(int64_t job_id, Json* response, std::string* error);
+  bool FailNode(int node_id, Json* response, std::string* error);
+  bool RecoverNode(int node_id, Json* response, std::string* error);
+  bool Query(int64_t job_id, Json* response, std::string* error);
+  bool Stats(Json* response, std::string* error);
   // `format` is "json" or "prometheus"; the registry snapshot comes back in
   // the response's "metrics" string field (see protocol.h).
-  bool Metrics(const std::string& format, JsonObject* response, std::string* error);
-  bool Shutdown(bool drain, JsonObject* response, std::string* error);
+  bool Metrics(const std::string& format, Json* response, std::string* error);
+  bool Shutdown(bool drain, Json* response, std::string* error);
 
  private:
   bool SendAll(const std::string& payload, std::string* error);

@@ -32,8 +32,6 @@ std::vector<std::string> SimConfig::Validate(const Cluster& cluster) const {
     require(reconfig.cooldown >= 0.0, "negative reconfig cooldown");
     require(reconfig.max_migrations_per_round >= 0,
             "negative reconfig max_migrations_per_round");
-    require(reconfig.arrival_burst >= 1, "reconfig arrival_burst below 1");
-    require(reconfig.distress_factor >= 1.0, "reconfig distress_factor below 1");
     require(reconfig.cost.restart_overhead >= 0.0, "negative reconfig restart_overhead");
     require(reconfig.cost.checkpoint_bandwidth >= 0.0,
             "negative reconfig checkpoint_bandwidth");

@@ -4,7 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 namespace crius {
 
@@ -91,11 +91,12 @@ std::string FormatJsonNumber(double v) {
   if (!std::isfinite(v)) {
     return "0";  // JSON has no Inf/NaN; exporters clamp rather than emit invalid text
   }
-  if (v == 0.0) {
-    return "0";
-  }
   char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  // Whole numbers (ids, counts, totals) print as plain integers: the shortest
+  // round-trip form would render 100000 as "1e+05". Also maps -0 to "0".
+  const auto res = v == std::floor(v) && std::abs(v) < 1e15
+                       ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v))
+                       : std::to_chars(buf, buf + sizeof(buf), v);
   return std::string(buf, res.ptr);
 }
 
@@ -269,6 +270,52 @@ struct JsonParser {
     return Fail("unterminated string");
   }
 
+  bool SkipDigits() {
+    const size_t from = pos;
+    while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
+      ++pos;
+    }
+    return pos > from;
+  }
+
+  // Strict JSON number grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?:
+  // no hex, no leading '+' or '.', no inf/nan. Magnitudes a double cannot
+  // hold (1e999, and 1e-400 which would flush to zero) are rejected too.
+  bool ParseNumber(Json* out) {
+    const size_t start = pos;
+    if (s[pos] == '-') {
+      ++pos;
+    }
+    if (pos < s.size() && s[pos] == '0') {
+      ++pos;
+    } else if (!SkipDigits()) {
+      return Fail("bad number");
+    }
+    if (pos < s.size() && s[pos] == '.') {
+      ++pos;
+      if (!SkipDigits()) {
+        return Fail("bad number");
+      }
+    }
+    if (pos < s.size() && (s[pos] == 'e' || s[pos] == 'E')) {
+      ++pos;
+      if (pos < s.size() && (s[pos] == '+' || s[pos] == '-')) {
+        ++pos;
+      }
+      if (!SkipDigits()) {
+        return Fail("bad number");
+      }
+    }
+    double v = 0.0;
+    const auto res = std::from_chars(s.data() + start, s.data() + pos, v);
+    if (res.ec != std::errc() || !std::isfinite(v)) {
+      pos = start;
+      return Fail("number out of range");
+    }
+    *out = Json::Number(v);
+    return true;
+  }
+
   bool ParseValue(Json* out, int depth) {
     if (depth > 64) {
       return Fail("nesting too deep");
@@ -358,15 +405,7 @@ struct JsonParser {
       return true;
     }
     if (c == '-' || (c >= '0' && c <= '9')) {
-      const char* begin = s.c_str() + pos;
-      char* end = nullptr;
-      const double v = std::strtod(begin, &end);
-      if (end == begin) {
-        return Fail("bad number");
-      }
-      pos += static_cast<size_t>(end - begin);
-      *out = Json::Number(v);
-      return true;
+      return ParseNumber(out);
     }
     return Fail(std::string("unexpected character '") + c + "'");
   }

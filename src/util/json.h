@@ -1,18 +1,21 @@
-// Minimal generic JSON tree: parse, build, serialize.
-//
-// The serve protocol deliberately speaks a *flat* JSON dialect
-// (src/serve/protocol.h); this is the general-purpose counterpart for the
-// telemetry pipeline, where nesting is essential: metrics snapshots
+// Minimal generic JSON tree: parse, build, serialize -- the repo's one JSON
+// codec. The telemetry pipeline uses it with nesting: metrics snapshots
 // (src/util/metrics_export.h), bench perf reports (bench/bench_util.h), and
-// the crius_benchdiff regression gate all read and write this tree.
+// the crius_benchdiff regression gate all read and write this tree. The serve
+// wire protocol (src/serve/protocol.h) uses it too, adding only two rules of
+// its own: requests must be flat objects, and responses sort their keys.
 //
-// Properties the telemetry consumers rely on:
+// Properties the consumers rely on:
 //   * Deterministic serialization: objects keep insertion order (builders
-//     insert sorted keys where determinism matters), numbers render via
-//     std::to_chars shortest round-trip form, so parse(serialize(x)) == x
-//     and golden tests can string-compare output.
+//     insert sorted keys where determinism matters), whole numbers below 1e15
+//     render as plain integers and other numbers via std::to_chars shortest
+//     round-trip form, so parse(serialize(x)) == x and golden tests can
+//     string-compare output. Control bytes in strings are escaped, so every
+//     serialized line is valid JSON.
 //   * No aborts on malformed input: Parse returns false with a message and
 //     byte offset; operator-supplied files are rejected, never crashed on.
+//   * Strict numbers: -?int[.frac][(e|E)[+-]digits] only -- no hex, no
+//     leading '+' or '.', no inf/nan, nothing outside a double's range.
 //   * Small surface: object/array/string/number/bool/null only -- no
 //     comments, no trailing commas, \uXXXX escapes limited to ASCII.
 
@@ -88,7 +91,8 @@ class Json {
   std::vector<std::pair<std::string, Json>> fields_;
 };
 
-// Shortest round-trip decimal rendering of `v` (std::to_chars); "0" for -0.
+// Plain integer for whole |v| < 1e15 ("0" for -0), otherwise the shortest
+// round-trip decimal rendering (std::to_chars); "0" for Inf/NaN.
 std::string FormatJsonNumber(double v);
 
 }  // namespace crius

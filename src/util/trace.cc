@@ -6,43 +6,11 @@
 #include <ostream>
 #include <utility>
 
+#include "src/util/json.h"
+
 namespace crius {
 
 namespace {
-
-// Escapes a string for inclusion inside a JSON string literal.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Subsystem track of a span name: the prefix before the first '.', or the
 // whole name when there is none ("sched.round" -> "sched").
@@ -242,13 +210,13 @@ void TraceRecorder::WriteJson(std::ostream& out) const {
     }
     sep();
     out << "{\"ph\": \"M\", \"pid\": " << t.pid << ", \"tid\": " << t.tid
-        << ", \"name\": \"thread_name\", \"args\": {\"name\": \"" << JsonEscape(t.name)
-        << "\"}}";
+        << ", \"name\": \"thread_name\", \"args\": {\"name\": " << Json::EscapeString(t.name)
+        << "}}";
   }
   for (const Event& e : events_) {
     const TrackInfo& t = tracks_[static_cast<size_t>(e.track)];
     sep();
-    out << "{\"name\": \"" << JsonEscape(e.name) << "\", \"ph\": \"" << e.phase
+    out << "{\"name\": " << Json::EscapeString(e.name) << ", \"ph\": \"" << e.phase
         << "\", \"pid\": " << t.pid << ", \"tid\": " << t.tid
         << ", \"ts\": " << FormatNumber(e.ts_us);
     if (e.phase == 'X') {

@@ -143,6 +143,26 @@ TEST(FlagsParseKnownTest, MalformedValueKeepsDefault) {
   EXPECT_EQ(p.i, 7);
 }
 
+TEST(FlagsParseKnownTest, GarbageDoubleKeepsDefault) {
+  // Trailing junk and plain words keep the default (with a stderr warning),
+  // never a silent 0.0.
+  Parsed p;
+  EXPECT_TRUE(ParseKnownInto(p, {"--dbl", "1.5x"}));
+  EXPECT_DOUBLE_EQ(p.d, 1.5);
+  p.d = 0.5;
+  EXPECT_TRUE(ParseKnownInto(p, {"--dbl", "fast"}));
+  EXPECT_DOUBLE_EQ(p.d, 0.5);
+}
+
+TEST(FlagsParseKnownTest, NegativeDoubleValueParses) {
+  // "-3" is a value, not a flag: it must bind to --dbl in both forms.
+  Parsed p;
+  EXPECT_TRUE(ParseKnownInto(p, {"--dbl", "-3"}));
+  EXPECT_DOUBLE_EQ(p.d, -3.0);
+  EXPECT_TRUE(ParseKnownInto(p, {"--dbl=2.5e-1"}));
+  EXPECT_DOUBLE_EQ(p.d, 0.25);
+}
+
 TEST(FlagsParseKnownTest, MissingValueKeepsDefault) {
   Parsed p;
   EXPECT_TRUE(ParseKnownInto(p, {"--int"}));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace crius {
 namespace {
@@ -112,22 +113,43 @@ TEST(JsonTest, ParseRejectsMalformedInputWithOffset) {
       {"{\"a\" 1}"},   // missing colon
       {"[1] trailing"},  // trailing garbage
       {"{'a':1}"},     // single quotes
-      {"[01]"},        // leading zero is fine per strtod but "nan" is not:
+      {"[01]"},        // leading zero
       {"nan"},
       {"\"unterminated"},
   };
   for (const Case& c : cases) {
-    // "[01]" parses under permissive number readers; only assert that a
-    // failure, when reported, carries a message. The hard-malformed cases
-    // must fail.
     Json out;
     std::string error;
     const bool ok = Json::Parse(c.text, &out, &error);
-    if (std::string(c.text) == "[01]") {
-      continue;  // implementation-defined; not part of the contract
-    }
     EXPECT_FALSE(ok) << "input: " << c.text;
     EXPECT_FALSE(error.empty()) << "input: " << c.text;
+  }
+}
+
+TEST(JsonTest, ParseRejectsNonJsonNumbers) {
+  // strtod-style readers take most of these (or a prefix of them); strict
+  // JSON accepts none.
+  for (const char* text : {"0x10", "-infinity", "-nan", "1e999", "-1e999", "1e-400",
+                           "{\"a\":0x1F}", "+5", ".5", "5.", "1e", "1e+", "-", "[-]", "inf"}) {
+    Json out;
+    std::string error;
+    EXPECT_FALSE(Json::Parse(text, &out, &error)) << "input: " << text;
+    EXPECT_FALSE(error.empty()) << "input: " << text;
+  }
+}
+
+TEST(JsonTest, ParseAcceptsStrictNumberForms) {
+  const std::pair<const char*, double> cases[] = {
+      {"0", 0.0},          {"-0", 0.0},        {"7", 7.0},           {"-12", -12.0},
+      {"0.5", 0.5},        {"-2.5e1", -25.0},  {"1E3", 1000.0},      {"1e+2", 100.0},
+      {"25e-1", 2.5},      {"100000", 1e5},    {"1e308", 1e308},     {"4.9e-324", 4.9e-324},
+  };
+  for (const auto& [text, expected] : cases) {
+    Json out;
+    std::string error;
+    ASSERT_TRUE(Json::Parse(text, &out, &error)) << text << ": " << error;
+    ASSERT_TRUE(out.is_number()) << text;
+    EXPECT_EQ(out.number(), expected) << text;
   }
 }
 
@@ -157,6 +179,20 @@ TEST(JsonTest, FormatJsonNumberShortestRoundTrip) {
   EXPECT_EQ(FormatJsonNumber(3.0), "3");
   // Shortest form that round-trips, not a fixed precision.
   EXPECT_EQ(FormatJsonNumber(0.1), "0.1");
+  EXPECT_EQ(FormatJsonNumber(0.1 + 0.2), "0.30000000000000004");
+}
+
+TEST(JsonTest, FormatJsonNumberWholeValuesAsIntegers) {
+  // Ids and counts print as plain integers below 1e15; shortest round-trip
+  // form alone would render these with an exponent ("1e+05").
+  EXPECT_EQ(FormatJsonNumber(1e5), "100000");
+  EXPECT_EQ(FormatJsonNumber(1e6), "1000000");
+  EXPECT_EQ(FormatJsonNumber(-3e7), "-30000000");
+  EXPECT_EQ(FormatJsonNumber(999999999999999.0), "999999999999999");
+  // At and beyond 1e15 the shortest form takes over again.
+  EXPECT_EQ(FormatJsonNumber(1e15), "1e+15");
+  EXPECT_EQ(FormatJsonNumber(2.5e20), "2.5e+20");
+  EXPECT_EQ(FormatJsonNumber(1234567.5), "1234567.5");
 }
 
 }  // namespace

@@ -3,43 +3,46 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace crius {
 namespace serve {
 namespace {
 
 TEST(ProtocolParseTest, FlatObjectParses) {
-  JsonObject obj;
+  Json obj;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(
       R"({"cmd":"submit","gpus":8,"params_billion":1.3,"flag":true,"off":false})", &obj,
       &error))
       << error;
-  EXPECT_EQ(GetString(obj, "cmd"), "submit");
-  EXPECT_DOUBLE_EQ(GetNumber(obj, "gpus"), 8.0);
-  EXPECT_DOUBLE_EQ(GetNumber(obj, "params_billion"), 1.3);
-  EXPECT_TRUE(GetBool(obj, "flag"));
-  EXPECT_FALSE(GetBool(obj, "off", true));
+  EXPECT_EQ(obj.StringOr("cmd", ""), "submit");
+  EXPECT_DOUBLE_EQ(obj.NumberOr("gpus", 0.0), 8.0);
+  EXPECT_DOUBLE_EQ(obj.NumberOr("params_billion", 0.0), 1.3);
+  EXPECT_TRUE(obj.BoolOr("flag", false));
+  EXPECT_FALSE(obj.BoolOr("off", true));
 }
 
 TEST(ProtocolParseTest, WhitespaceAndEscapesHandled) {
-  JsonObject obj;
+  Json obj;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(" { \"a\" : \"x\\\"y\\\\z\" , \"b\" : -2.5e1 } ", &obj, &error))
       << error;
-  EXPECT_EQ(GetString(obj, "a"), "x\"y\\z");
-  EXPECT_DOUBLE_EQ(GetNumber(obj, "b"), -25.0);
+  EXPECT_EQ(obj.StringOr("a", ""), "x\"y\\z");
+  EXPECT_DOUBLE_EQ(obj.NumberOr("b", 0.0), -25.0);
 }
 
 TEST(ProtocolParseTest, EmptyObjectParses) {
-  JsonObject obj;
+  Json obj;
   std::string error;
   EXPECT_TRUE(ParseJsonObject("{}", &obj, &error)) << error;
-  EXPECT_TRUE(obj.empty());
+  EXPECT_TRUE(obj.is_object());
+  EXPECT_TRUE(obj.fields().empty());
 }
 
 TEST(ProtocolParseTest, MalformedInputRejectedNotAborted) {
-  JsonObject obj;
+  Json obj;
   std::string error;
   EXPECT_FALSE(ParseJsonObject("", &obj, &error));
   EXPECT_FALSE(ParseJsonObject("not json", &obj, &error));
@@ -51,7 +54,7 @@ TEST(ProtocolParseTest, MalformedInputRejectedNotAborted) {
 }
 
 TEST(ProtocolParseTest, NestingArraysAndNullRejected) {
-  JsonObject obj;
+  Json obj;
   std::string error;
   EXPECT_FALSE(ParseJsonObject("{\"a\":{\"b\":1}}", &obj, &error));
   EXPECT_FALSE(ParseJsonObject("{\"a\":[1,2]}", &obj, &error));
@@ -59,17 +62,17 @@ TEST(ProtocolParseTest, NestingArraysAndNullRejected) {
 }
 
 TEST(ProtocolSerializeTest, DeterministicSortedKeys) {
-  JsonObject obj;
-  obj["zeta"] = JsonValue::Number(1);
-  obj["alpha"] = JsonValue::String("x");
-  obj["mid"] = JsonValue::Bool(true);
+  Json obj;
+  obj.Set("zeta", Json::Number(1));
+  obj.Set("alpha", Json::Str("x"));
+  obj.Set("mid", Json::Bool(true));
   EXPECT_EQ(Serialize(obj), R"({"alpha":"x","mid":true,"zeta":1})");
 }
 
 TEST(ProtocolSerializeTest, NumbersIntegerFormattedWhenWhole) {
-  JsonObject obj;
-  obj["i"] = JsonValue::Number(42.0);
-  obj["d"] = JsonValue::Number(1.5);
+  Json obj;
+  obj.Set("i", Json::Number(42.0));
+  obj.Set("d", Json::Number(1.5));
   const std::string line = Serialize(obj);
   EXPECT_NE(line.find("\"i\":42"), std::string::npos);
   EXPECT_EQ(line.find("42.0"), std::string::npos);
@@ -77,18 +80,42 @@ TEST(ProtocolSerializeTest, NumbersIntegerFormattedWhenWhole) {
 }
 
 TEST(ProtocolSerializeTest, StringsEscaped) {
-  JsonObject obj;
-  obj["s"] = JsonValue::String("a\"b\\c\nd");
-  JsonObject back;
+  Json obj;
+  obj.Set("s", Json::Str("a\"b\\c\nd"));
+  Json back;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(Serialize(obj), &back, &error)) << error;
-  EXPECT_EQ(GetString(back, "s"), "a\"b\\c\nd");
+  EXPECT_EQ(back.StringOr("s", ""), "a\"b\\c\nd");
+}
+
+TEST(ProtocolSerializeTest, LargeWholeNumbersStayIntegers) {
+  Json extra;
+  extra.Set("job_id", Json::Number(100000));
+  EXPECT_EQ(OkResponse(extra), R"({"job_id":100000,"ok":true})");
+}
+
+TEST(ProtocolSerializeTest, NonIntegerNumbersParseBackExactly) {
+  // The fractional fields a stats reply carries must survive the wire.
+  const std::vector<std::pair<std::string, double>> values = {
+      {"latency_p50_ms", 0.1 + 0.2}, {"latency_p95_ms", 1.0 / 3.0},
+      {"latency_p99_ms", 1e-7},      {"uptime_seconds", 123456.789},
+      {"virtual_now", 2.5e20},       {"queue_depth", -0.5}};
+  Json extra;
+  for (const auto& [key, value] : values) {
+    extra.Set(key, Json::Number(value));
+  }
+  Json back;
+  std::string error;
+  ASSERT_TRUE(ParseJsonObject(OkResponse(extra), &back, &error)) << error;
+  for (const auto& [key, value] : values) {
+    EXPECT_EQ(back.NumberOr(key, 0.0), value) << key;
+  }
 }
 
 TEST(ProtocolResponseTest, OkAndErrorShapes) {
   EXPECT_EQ(OkResponse(), R"({"ok":true})");
-  JsonObject extra;
-  extra["job_id"] = JsonValue::Number(7);
+  Json extra;
+  extra.Set("job_id", Json::Number(7));
   EXPECT_EQ(OkResponse(extra), R"({"job_id":7,"ok":true})");
   EXPECT_EQ(ErrorResponse(RejectReason::kQueueFull),
             R"({"ok":false,"reason":"queue_full"})");
@@ -129,7 +156,7 @@ TEST(ProtocolSubmitTest, RoundTripThroughRequest) {
   EXPECT_DOUBLE_EQ(*parsed.deadline, 3600.0);
 }
 
-JsonObject ValidSubmit() {
+Json ValidSubmit() {
   TrainingJob job;
   job.spec = ModelSpec{ModelFamily::kBert, 1.3, 256};
   job.iterations = 10;
@@ -141,38 +168,38 @@ TEST(ProtocolSubmitTest, ValidationRejectsBadFields) {
   TrainingJob job;
   std::string error;
 
-  JsonObject bad = ValidSubmit();
-  bad["family"] = JsonValue::String("GPT");
+  Json bad = ValidSubmit();
+  bad.Set("family", Json::Str("GPT"));
   EXPECT_FALSE(ParseSubmitJob(bad, &job, &error));
   EXPECT_NE(error.find("family"), std::string::npos);
 
   bad = ValidSubmit();
-  bad["params_billion"] = JsonValue::Number(3.33);  // unsupported BERT size
+  bad.Set("params_billion", Json::Number(3.33));  // unsupported BERT size
   EXPECT_FALSE(ParseSubmitJob(bad, &job, &error));
 
   bad = ValidSubmit();
-  bad["gpus"] = JsonValue::Number(0);
+  bad.Set("gpus", Json::Number(0));
   EXPECT_FALSE(ParseSubmitJob(bad, &job, &error));
 
   bad = ValidSubmit();
-  bad["iterations"] = JsonValue::Number(-1);
+  bad.Set("iterations", Json::Number(-1));
   EXPECT_FALSE(ParseSubmitJob(bad, &job, &error));
 
   bad = ValidSubmit();
-  bad["type"] = JsonValue::String("H100");
+  bad.Set("type", Json::Str("H100"));
   EXPECT_FALSE(ParseSubmitJob(bad, &job, &error));
 
   bad = ValidSubmit();
-  bad["deadline"] = JsonValue::Number(-5);
+  bad.Set("deadline", Json::Number(-5));
   EXPECT_FALSE(ParseSubmitJob(bad, &job, &error));
 }
 
 TEST(ProtocolSubmitTest, SupportedSizeSnapsExactly) {
   // A client that sends 0.7600000001 means BERT-0.76B; the parsed job must
   // carry the exact supported size so the oracle's lookups hit.
-  JsonObject request = ValidSubmit();
-  request["family"] = JsonValue::String("BERT");
-  request["params_billion"] = JsonValue::Number(0.76 + 1e-10);
+  Json request = ValidSubmit();
+  request.Set("family", Json::Str("BERT"));
+  request.Set("params_billion", Json::Number(0.76 + 1e-10));
   TrainingJob job;
   std::string error;
   ASSERT_TRUE(ParseSubmitJob(request, &job, &error)) << error;

@@ -51,26 +51,26 @@ class ServiceTest : public ::testing::Test {
 
 TEST_F(ServiceTest, MalformedJsonRejectedAsBadRequest) {
   StartController();
-  JsonObject response;
+  Json response;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(Handle("not json"), &response, &error)) << error;
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "bad_request");
-  EXPECT_FALSE(GetString(response, "message").empty());
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
+  EXPECT_FALSE(response.StringOr("message", "").empty());
 }
 
 TEST_F(ServiceTest, UnknownCommandRejected) {
   StartController();
-  JsonObject response;
+  Json response;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"resize"})"), &response, &error)) << error;
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "bad_request");
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
 }
 
 TEST_F(ServiceTest, SubmitQueryStatsShutdownOverDispatch) {
   StartController();
-  JsonObject response;
+  Json response;
   std::string error;
 
   ASSERT_TRUE(ParseJsonObject(
@@ -78,63 +78,98 @@ TEST_F(ServiceTest, SubmitQueryStatsShutdownOverDispatch) {
              R"("global_batch":256,"iterations":20,"gpus":8,"type":"A40"})"),
       &response, &error))
       << error;
-  ASSERT_TRUE(GetBool(response, "ok"));
-  const int64_t job_id = static_cast<int64_t>(GetNumber(response, "job_id", -1));
+  ASSERT_TRUE(response.BoolOr("ok", false));
+  const int64_t job_id = static_cast<int64_t>(response.NumberOr("job_id", -1));
   EXPECT_GE(job_id, 1);
-  EXPECT_EQ(GetString(response, "status"), "queued");
+  EXPECT_EQ(response.StringOr("status", ""), "queued");
 
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"query","job_id":999})"), &response, &error));
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "unknown_job");
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "unknown_job");
 
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"stats"})"), &response, &error));
-  EXPECT_TRUE(GetBool(response, "ok"));
-  EXPECT_TRUE(Has(response, "virtual_now"));
-  EXPECT_TRUE(Has(response, "live_jobs"));
-  EXPECT_TRUE(Has(response, "latency_p99_ms"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
+  EXPECT_TRUE(response.Find("virtual_now") != nullptr);
+  EXPECT_TRUE(response.Find("live_jobs") != nullptr);
+  EXPECT_TRUE(response.Find("latency_p99_ms") != nullptr);
 
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"shutdown","mode":"sideways"})"), &response, &error));
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "bad_request");
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
 
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"shutdown","mode":"drain"})"), &response, &error));
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
   controller_->Join();
   EXPECT_TRUE(controller_->done());
 }
 
 TEST_F(ServiceTest, NodeCommandsValidateRange) {
   StartController();
-  JsonObject response;
+  Json response;
   std::string error;
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"fail-node","node_id":100000})"), &response, &error));
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "bad_request");
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
 
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"fail-node"})"), &response, &error));
-  EXPECT_FALSE(GetBool(response, "ok", true));
+  EXPECT_FALSE(response.BoolOr("ok", true));
 
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"fail-node","node_id":0})"), &response, &error));
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"recover-node","node_id":0})"), &response, &error));
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
+}
+
+TEST_F(ServiceTest, OutOfRangeNodeIdEchoedAsInteger) {
+  StartController();
+  const std::string line = Handle(R"({"cmd":"fail-node","node_id":100000})");
+  Json response;
+  std::string error;
+  ASSERT_TRUE(ParseJsonObject(line, &response, &error)) << error;
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
+  EXPECT_EQ(response.StringOr("message", ""), "node_id 100000 out of range");
+  EXPECT_EQ(line.find("e+"), std::string::npos) << line;
+}
+
+TEST_F(ServiceTest, RawControlByteEchoedEscaped) {
+  // A raw 0x01 in a request string comes back inside the error message; the
+  // response line must escape it so the line stays valid JSON.
+  const std::string line = Handle("{\"cmd\":\"submit\",\"family\":\"x\x01y\"}");
+  EXPECT_NE(line.find("x\\u0001y"), std::string::npos) << line;
+  for (const char c : line) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << line;
+  }
+  Json response;
+  std::string error;
+  ASSERT_TRUE(ParseJsonObject(line, &response, &error)) << error;
+  EXPECT_EQ(response.StringOr("message", ""), "unknown family 'x\x01y'");
+}
+
+TEST_F(ServiceTest, UnicodeEscapeInRequestAccepted) {
+  StartController();
+  // The cmd below spells "stats" with a standard JSON unicode escape.
+  Json response;
+  std::string error;
+  ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"\u0073tats"})"), &response, &error)) << error;
+  EXPECT_TRUE(response.BoolOr("ok", false)) << response.StringOr("message", "");
+  EXPECT_NE(response.Find("ticks"), nullptr);
 }
 
 TEST_F(ServiceTest, StatsIncludeRegistryEnrichment) {
   StartController();
-  JsonObject response;
+  Json response;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"stats"})"), &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
-  EXPECT_TRUE(Has(response, "queue_depth"));
-  EXPECT_GE(GetNumber(response, "queue_depth", -1.0), 0.0);
-  EXPECT_TRUE(Has(response, "uptime_seconds"));
-  EXPECT_GE(GetNumber(response, "uptime_seconds", -1.0), 0.0);
+  EXPECT_TRUE(response.BoolOr("ok", false));
+  EXPECT_TRUE(response.Find("queue_depth") != nullptr);
+  EXPECT_GE(response.NumberOr("queue_depth", -1.0), 0.0);
+  EXPECT_TRUE(response.Find("uptime_seconds") != nullptr);
+  EXPECT_GE(response.NumberOr("uptime_seconds", -1.0), 0.0);
 }
 
 TEST_F(ServiceTest, MetricsVerbReturnsParseableSnapshot) {
@@ -148,16 +183,16 @@ TEST_F(ServiceTest, MetricsVerbReturnsParseableSnapshot) {
   }
   ASSERT_GE(controller_->GetStats().ticks, 2u);
 
-  JsonObject response;
+  Json response;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"metrics"})"), &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
-  EXPECT_EQ(GetString(response, "format"), "json");
+  EXPECT_TRUE(response.BoolOr("ok", false));
+  EXPECT_EQ(response.StringOr("format", ""), "json");
 
   // The snapshot rides inside the flat protocol as an escaped string field;
   // parse it back out into a MetricsSnapshot.
   MetricsSnapshot snapshot;
-  ASSERT_TRUE(ParseMetricsJson(GetString(response, "metrics"), &snapshot, &error)) << error;
+  ASSERT_TRUE(ParseMetricsJson(response.StringOr("metrics", ""), &snapshot, &error)) << error;
 
   bool saw_round = false;
   int phase_entries = 0;
@@ -186,19 +221,19 @@ TEST_F(ServiceTest, MetricsVerbReturnsParseableSnapshot) {
 
 TEST_F(ServiceTest, MetricsVerbSpeaksPrometheus) {
   StartController();
-  JsonObject response;
+  Json response;
   std::string error;
   ASSERT_TRUE(ParseJsonObject(Handle(R"({"cmd":"metrics","format":"prometheus"})"), &response,
                               &error))
       << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
-  EXPECT_EQ(GetString(response, "format"), "prometheus");
-  EXPECT_NE(GetString(response, "metrics").find("# TYPE "), std::string::npos);
+  EXPECT_TRUE(response.BoolOr("ok", false));
+  EXPECT_EQ(response.StringOr("format", ""), "prometheus");
+  EXPECT_NE(response.StringOr("metrics", "").find("# TYPE "), std::string::npos);
 
   ASSERT_TRUE(
       ParseJsonObject(Handle(R"({"cmd":"metrics","format":"xml"})"), &response, &error));
-  EXPECT_FALSE(GetBool(response, "ok", true));
-  EXPECT_EQ(GetString(response, "reason"), "bad_request");
+  EXPECT_FALSE(response.BoolOr("ok", true));
+  EXPECT_EQ(response.StringOr("reason", ""), "bad_request");
 }
 
 TEST_F(ServiceTest, ClientMetricsHelperOverSocket) {
@@ -209,11 +244,11 @@ TEST_F(ServiceTest, ClientMetricsHelperOverSocket) {
   ASSERT_TRUE(server.Start(&error)) << error;
   Client client;
   ASSERT_TRUE(client.Connect(socket_path, &error)) << error;
-  JsonObject response;
+  Json response;
   ASSERT_TRUE(client.Metrics("json", &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
   MetricsSnapshot snapshot;
-  EXPECT_TRUE(ParseMetricsJson(GetString(response, "metrics"), &snapshot, &error)) << error;
+  EXPECT_TRUE(ParseMetricsJson(response.StringOr("metrics", ""), &snapshot, &error)) << error;
   server.Stop();
 }
 
@@ -233,28 +268,28 @@ TEST_F(ServiceTest, EndToEndOverUnixSocket) {
   job.requested_gpus = 8;
   job.requested_type = GpuType::kA40;
 
-  JsonObject response;
+  Json response;
   ASSERT_TRUE(client.Submit(job, &response, &error)) << error;
-  ASSERT_TRUE(GetBool(response, "ok"));
-  const int64_t job_id = static_cast<int64_t>(GetNumber(response, "job_id", -1));
+  ASSERT_TRUE(response.BoolOr("ok", false));
+  const int64_t job_id = static_cast<int64_t>(response.NumberOr("job_id", -1));
 
   ASSERT_TRUE(client.FailNode(0, &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
   ASSERT_TRUE(client.RecoverNode(0, &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
 
   ASSERT_TRUE(client.Query(job_id, &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
-  EXPECT_FALSE(GetString(response, "status").empty());
+  EXPECT_TRUE(response.BoolOr("ok", false));
+  EXPECT_FALSE(response.StringOr("status", "").empty());
 
   // A second concurrent connection is served too.
   Client other;
   ASSERT_TRUE(other.Connect(socket_path, &error)) << error;
   ASSERT_TRUE(other.Stats(&response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
 
   ASSERT_TRUE(client.Shutdown(/*drain=*/true, &response, &error)) << error;
-  EXPECT_TRUE(GetBool(response, "ok"));
+  EXPECT_TRUE(response.BoolOr("ok", false));
   controller_->Join();
   EXPECT_TRUE(controller_->done());
   EXPECT_FALSE(controller_->interrupted());
