@@ -20,17 +20,17 @@
 
 namespace crius {
 
-// Parses the one flag the bench binaries share -- "--threads N" (or
-// "--threads=N") -- and sizes the global pool accordingly. Routed through
+// Parses "--threads N" (or "--threads=N") for the benches whose pool does
+// real work -- ext_robustness's per-seed runs and ext_serve's socket
+// dispatch -- and sizes the global pool accordingly. Routed through
 // FlagSet::ParseKnown so a malformed value warns and keeps the default
 // instead of silently turning garbage into 0, and so flags owned by the
-// bench binary itself pass through untouched. Per-seed and per-scheduler
-// sweep runs fan out over the pool; results are bit-identical across thread
-// counts.
+// bench binary itself pass through untouched. Results are bit-identical
+// across thread counts.
 inline void ConfigureBenchThreads(int argc, char** argv) {
   int64_t threads = 1;
   FlagSet flags("bench", "shared benchmark flags");
-  flags.Int("threads", &threads, "worker threads for sweep fan-out");
+  flags.Int("threads", &threads, "worker threads");
   flags.ParseKnown(argc, argv);
   if (threads < 1 || threads > 4096) {
     std::fprintf(stderr, "warning: ignoring --threads value %lld (expected 1..4096); using 1\n",

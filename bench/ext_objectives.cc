@@ -18,14 +18,13 @@
 
 int main(int argc, char** argv) {
   using namespace crius;
-  ConfigureBenchThreads(argc, argv);
   int64_t jobs_override = 0;
   std::string report_path;
   FlagSet flags("ext_objectives", "multi-objective weight sweep");
   flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
   flags.String("json", &report_path, "write a BENCH_objectives.json perf report to this path");
-  if (!flags.ParseKnown(argc, argv)) {
-    return 0;
+  if (!flags.Parse(argc, argv)) {
+    return 1;
   }
 
   Cluster cluster = MakeSimulatedCluster();

@@ -70,7 +70,6 @@ SimResult RunOne(const Cluster& cluster, const std::vector<TrainingJob>& trace,
 
 int main(int argc, char** argv) {
   using namespace crius;
-  ConfigureBenchThreads(argc, argv);
   bool smoke = false;
   int64_t jobs_override = 0;
   std::string report_path;
@@ -78,8 +77,8 @@ int main(int argc, char** argv) {
   flags.Bool("smoke", &smoke, "small CI-sized run with a pass/fail gate");
   flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
   flags.String("json", &report_path, "write a BENCH_reconfig.json perf report to this path");
-  if (!flags.ParseKnown(argc, argv)) {
-    return 0;
+  if (!flags.Parse(argc, argv)) {
+    return 1;
   }
 
   Cluster cluster = MakePhysicalTestbed();

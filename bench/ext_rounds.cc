@@ -115,7 +115,6 @@ std::vector<RoundSample> RunMode(const Cluster& cluster, const std::vector<Train
 
 int main(int argc, char** argv) {
   using namespace crius;
-  ConfigureBenchThreads(argc, argv);
   bool smoke = false;
   int64_t jobs_override = 0;
   std::string report_path;
@@ -123,8 +122,8 @@ int main(int argc, char** argv) {
   flags.Bool("smoke", &smoke, "small CI-sized run with a pass/fail gate");
   flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
   flags.String("json", &report_path, "write a BENCH_rounds.json perf report to this path");
-  if (!flags.ParseKnown(argc, argv)) {
-    return 0;
+  if (!flags.Parse(argc, argv)) {
+    return 1;
   }
 
   Cluster cluster = smoke ? MakePhysicalTestbed() : MakeSimulatedCluster();

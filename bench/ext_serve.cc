@@ -28,8 +28,8 @@
 //                  determinism gate; --threads is ignored in this mode.)
 //
 // Flags: --smoke, --determinism, --clients N, --requests N (per client),
-// --batch N (pipelined submissions per round trip), --threads N (dispatch
-// pool shared with scheduling fan-out), --json F (write a BENCH_serve.json
+// --batch N (pipelined submissions per round trip), --threads N (socket
+// dispatch pool), --json F (write a BENCH_serve.json
 // perf-trajectory report for crius_benchdiff).
 
 #include <unistd.h>

@@ -58,8 +58,9 @@ struct CellEstimate {
 // Reusable per-call scratch for CellEstimator::Estimate. One scratch per
 // thread of execution: the arena is bump-allocated with no internal locking,
 // and Estimate resets it on entry, so a scratch must never be shared between
-// concurrently running estimates. The oracle's batch fan-out hands each pool
-// worker its own via ThreadLocalEstimatorScratch().
+// concurrently running estimates. The oracle borrows the calling thread's via
+// ThreadLocalEstimatorScratch(), so independent oracles on separate threads
+// (one per seed in bench/ext_robustness) each use their own.
 struct EstimatorScratch {
   Arena arena;
 };

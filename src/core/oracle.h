@@ -12,15 +12,16 @@
 //   * TuneCell       -- Crius's Cell-guided tuned plan (§5.2).
 //
 // Trace-scale simulations query the same (model, GPU type, count) points
-// millions of times; everything is cached. Caches are sharded-mutex
-// thread-safe: every cached quantity is a pure function of its key, so
-// concurrent callers (the scheduler's parallel Cell fan-out, parallel bench
-// sweeps) read/populate them in any order without changing any value.
+// millions of times; everything is cached in plain std::maps. Every cached
+// quantity is a pure function of its key, so the order in which callers
+// populate the caches never changes a value.
+//
+// Threading contract: one oracle is used by one thread at a time; the caches
+// take no locks. Independent oracles may run on separate threads (the
+// per-seed runs of bench/ext_robustness), since they share no mutable state.
 //
 // Batch-first API (DESIGN.md §14): rankers hand a job's whole candidate Cell
-// list to EstimateCellBatch, which resolves cache hits with one traversal of
-// the sharded estimate cache (one lock per shard instead of one per Cell),
-// fans the misses across the ThreadPool with per-worker EstimatorScratch, and
+// list to EstimateCellBatch, which estimates each Cell the cache lacks and
 // writes results into caller-owned SoA buffers (CellBatchResult). The scalar
 // entry points survive as conveniences for one-off queries and remain the
 // units the batch path is defined in terms of.
@@ -28,15 +29,16 @@
 #ifndef SRC_CORE_ORACLE_H_
 #define SRC_CORE_ORACLE_H_
 
+#include <map>
 #include <optional>
 #include <tuple>
+#include <utility>
 
 #include "src/core/cell.h"
 #include "src/core/comm_profile.h"
 #include "src/core/estimator.h"
 #include "src/core/tuner.h"
 #include "src/parallel/explorer.h"
-#include "src/util/sharded_cache.h"
 
 namespace crius {
 
@@ -102,11 +104,11 @@ class PerformanceOracle {
   // cell; 0 if infeasible. This is the number Crius's scheduler ranks by.
   double EstimatedThroughput(const ModelSpec& spec, const Cell& cell);
 
-  // Batched what-if estimation for one job's candidate Cells: one sharded-
-  // cache traversal for the hits, ThreadPool fan-out for the misses, results
-  // in caller-owned SoA buffers. Safe to call concurrently (a nested call
-  // from inside a ParallelFor worker runs its fan-out inline). Every ranking
-  // fan-out (scheduler, reconfig policy, benches) goes through here.
+  // Batched what-if estimation for one job's candidate Cells, in order: a
+  // cached Cell is a hit, any other is estimated and cached (so a Cell that
+  // repeats within the batch is estimated once). Results land in caller-owned
+  // SoA buffers. Every ranking query (scheduler, reconfig policy, benches)
+  // goes through here.
   void EstimateCellBatch(const CellBatchRequest& req, CellBatchResult* out);
 
  private:
@@ -116,9 +118,19 @@ class PerformanceOracle {
   // reads from the spec, without the string key construction.
   using ContextKey = std::tuple<int, uint64_t, int64_t, int>;
 
-  static uint64_t ShardHash(const ModelPointKey& key);
-  static uint64_t ShardHash(const CellPointKey& key);
-  static uint64_t ShardHash(const ContextKey& key);
+  // Returns (cached value, was_miss) for `key`, storing compute() on a miss.
+  // References stay valid for the oracle's lifetime (std::map nodes are
+  // stable). compute() may query a different cache (TuneCell estimates the
+  // Cell first) but never the one it fills.
+  template <typename Key, typename Value, typename Fn>
+  static std::pair<const Value&, bool> GetOrCompute(std::map<Key, Value>& cache, const Key& key,
+                                                    Fn&& compute) {
+    auto it = cache.find(key);
+    if (it != cache.end()) {
+      return {it->second, false};
+    }
+    return {cache.emplace(key, compute()).first->second, true};
+  }
 
   PerfModel model_;
   CommProfile comm_;
@@ -127,11 +139,11 @@ class PerformanceOracle {
   CellTuner tuner_;
 
   // mutable: ContextFor is logically const (pure, memoized).
-  mutable ShardedCache<ContextKey, JobContext> context_cache_;
-  ShardedCache<ModelPointKey, std::optional<PlanChoice>> adaptive_cache_;
-  ShardedCache<ModelPointKey, std::optional<double>> dp_only_cache_;
-  ShardedCache<CellPointKey, CellEstimate> estimate_cache_;
-  ShardedCache<CellPointKey, TuneResult> tune_cache_;
+  mutable std::map<ContextKey, JobContext> context_cache_;
+  std::map<ModelPointKey, std::optional<PlanChoice>> adaptive_cache_;
+  std::map<ModelPointKey, std::optional<double>> dp_only_cache_;
+  std::map<CellPointKey, CellEstimate> estimate_cache_;
+  std::map<CellPointKey, TuneResult> tune_cache_;
 };
 
 }  // namespace crius

@@ -8,8 +8,6 @@
 #include "src/util/check.h"
 #include "src/util/counters.h"
 #include "src/util/mathutil.h"
-#include "src/util/rng.h"
-#include "src/util/threadpool.h"
 #include "src/util/trace.h"
 
 namespace crius {
@@ -22,9 +20,6 @@ constexpr double kMoveGainThreshold = 0.05;
 // Pending queued jobs that get the full scaling search per round; the rest
 // only try free capacity (bounds per-round scheduling overhead).
 constexpr int kMaxSearchJobs = 8;
-
-// Shard-routing hash for the ranking memo.
-uint64_t JobHash(int64_t id) { return SplitMix64(static_cast<uint64_t>(id)); }
 
 // Per-type candidate-size cap, exactly as GenerateCellsUpTo derives it:
 // FloorPowerOfTwo of the usable capacity, 0 when the type is absent or fully
@@ -124,27 +119,22 @@ CriusScheduler::JobCells CriusScheduler::ComputeCells(const TrainingJob& job,
                                                       const Cluster& cluster) {
   CRIUS_TRACE_SPAN("sched.cells_for");
   JobCells jc;
-  // Per-thread candidate + batch-result buffers: warm-up fan-outs run
-  // ComputeCells on pool workers, and steady-state rounds reuse the capacity
-  // so the ranking path performs no heap allocation.
-  static thread_local std::vector<Cell> candidates;
-  static thread_local CellBatchResult batch;
-  const size_t considered = PrunedCandidates(job, cluster, &candidates);
+  const size_t considered = PrunedCandidates(job, cluster, &candidates_);
   CRIUS_COUNTER_ADD("sched.cells_considered", static_cast<int64_t>(considered));
   CRIUS_COUNTER_ADD("sched.cells_pruned",
-                    static_cast<int64_t>(considered - candidates.size()));
+                    static_cast<int64_t>(considered - candidates_.size()));
   oracle_->EstimateCellBatch(
-      CellBatchRequest{&job.spec, candidates.data(), candidates.size()}, &batch);
+      CellBatchRequest{&job.spec, candidates_.data(), candidates_.size()}, &batch_);
   int64_t infeasible = 0;
-  jc.choices.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const double thr = batch.throughput[i];
+  jc.choices.reserve(candidates_.size());
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    const double thr = batch_.throughput[i];
     if (thr <= 0.0) {
       ++infeasible;
       continue;  // infeasible Cell
     }
-    jc.choices.push_back(CellChoice{candidates[i], thr});
-    if (candidates[i].ngpus == job.requested_gpus) {
+    jc.choices.push_back(CellChoice{candidates_[i], thr});
+    if (candidates_[i].ngpus == job.requested_gpus) {
       jc.ref_throughput = std::max(jc.ref_throughput, thr);
     }
   }
@@ -170,24 +160,18 @@ CriusScheduler::JobCells CriusScheduler::ComputeCells(const TrainingJob& job,
 const CriusScheduler::JobCells& CriusScheduler::CellsFor(const TrainingJob& job,
                                                          const Cluster& cluster) {
   const MemoStamp stamp{cluster.identity(), cluster.health_epoch()};
-  const uint64_t hash = JobHash(job.id);
-  if (const JobCells* hit = cells_memo_.Find(job.id, hash, stamp)) {
+  if (const JobCells* hit = cells_memo_.Find(job.id, stamp)) {
     return *hit;
   }
-  // Compute outside the memo lock (the oracle serializes per shard); a racing
-  // same-job miss loses the PutIfAbsent and the first value wins -- both
-  // computed the identical pure result, and first-wins keeps references
-  // handed out above immutable.
-  JobCells jc = ComputeCells(job, cluster);
-  return cells_memo_.PutIfAbsent(job.id, hash, stamp, std::move(jc));
+  return cells_memo_.PutIfAbsent(job.id, stamp, ComputeCells(job, cluster));
 }
 
 void CriusScheduler::SyncCellsCache(const RoundContext& round) {
   // Phase breakdown of the round's cache work: everything up to the warm-up
-  // is memo maintenance ("memo_restamp"); the parallel ComputeCells warm-up
-  // is where the oracle estimates run ("estimator"). Both land in the
-  // labeled histogram sched.phase_ms next to the "explorer" phase recorded
-  // by Schedule().
+  // is memo maintenance ("memo_restamp"); the ComputeCells warm-up is where
+  // the oracle estimates run ("estimator"). Both land in the labeled
+  // histogram sched.phase_ms next to the "placement" phase recorded by
+  // Schedule().
   static Histogram& restamp_ms = CounterRegistry::Global().GetHistogram(
       "sched.phase_ms", MetricLabels{{"phase", "memo_restamp"}});
   static Histogram& estimator_ms = CounterRegistry::Global().GetHistogram(
@@ -205,8 +189,8 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
   // The count guard covers eventless callers (tests, ad-hoc drivers): when
   // their job set shrinks or grows, the sweep below still runs and evicts
   // departed entries; an eventless same-size *swap* stays correct too
-  // (CellsFor computes new jobs lazily), merely deferring eviction and this
-  // round's warm-up parallelism to the next uneven round.
+  // (CellsFor computes new jobs lazily), merely deferring eviction to the
+  // next uneven round.
   if (cells_stamp_known_ && cells_stamp_ == stamp &&
       round.events().empty() && jobs.size() == cells_jobs_seen_) {
     CRIUS_COUNTER_INC("sched.cells_steady_rounds");
@@ -242,8 +226,7 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
     // by the warm-up below.
     for (const JobState* js : jobs) {
       const int64_t id = js->job.id;
-      const uint64_t hash = JobHash(id);
-      if (!cells_memo_.Contains(id, hash)) {
+      if (!cells_memo_.Contains(id)) {
         continue;
       }
       bool dirty = false;
@@ -255,10 +238,10 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
         }
       }
       if (dirty) {
-        cells_memo_.Erase(id, hash);
+        cells_memo_.Erase(id);
         CRIUS_COUNTER_INC("sched.cells_dirty_reranks");
       } else {
-        cells_memo_.Restamp(id, hash, stamp);
+        cells_memo_.Restamp(id, stamp);
         CRIUS_COUNTER_INC("sched.cells_kept_incremental");
       }
     }
@@ -284,13 +267,10 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
     CRIUS_COUNTER_ADD("sched.cells_cache_evictions", static_cast<int64_t>(evicted));
   }
 
-  // 3. Warm missing entries (arrivals + dirtied) in parallel. ComputeCells is
-  // a pure function of (job, cluster-health), so slot results are identical
-  // across thread counts and the sequential inserts below keep the memo
-  // content deterministic.
+  // 3. Warm missing entries (arrivals + dirtied), in job order.
   missing_.clear();
   for (const JobState* js : jobs) {
-    if (cells_memo_.Find(js->job.id, JobHash(js->job.id), stamp) == nullptr) {
+    if (cells_memo_.Find(js->job.id, stamp) == nullptr) {
       missing_.push_back(js);
     }
   }
@@ -302,22 +282,17 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
   } else {
     CRIUS_TRACE_SPAN_ARGS("sched.cells_warmup",
                           "{\"jobs\": " + std::to_string(missing_.size()) + "}");
-    std::vector<JobCells> slots(missing_.size());
-    ThreadPool::Global().ParallelFor(missing_.size(), [&](size_t i) {
-      slots[i] = ComputeCells(missing_[i]->job, cluster);
-    });
-    for (size_t i = 0; i < missing_.size(); ++i) {
-      const int64_t id = missing_[i]->job.id;
-      cells_memo_.PutIfAbsent(id, JobHash(id), stamp, std::move(slots[i]));
+    for (const JobState* js : missing_) {
+      CellsFor(js->job, cluster);
     }
     estimator_ms.Record(std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t_maintained)
                             .count());
   }
 
-  // 4. Resolve every job's ranking once into the unlocked positional
-  // snapshot the ScheduleOnce passes (and all steady rounds until the next
-  // sync) read instead of taking a memo shard lock per job per pass.
+  // 4. Resolve every job's ranking once into the positional snapshot the
+  // ScheduleOnce passes (and all steady rounds until the next sync) read
+  // instead of a memo lookup per job per pass.
   cells_snapshot_.clear();
   for (const JobState* js : jobs) {
     cells_snapshot_.emplace_back(js->job.id, &CellsFor(js->job, cluster));
@@ -326,16 +301,14 @@ void CriusScheduler::SyncCellsCache(const RoundContext& round) {
 
 double CriusScheduler::ProfilingDelay(const TrainingJob& job, const Cluster& cluster) {
   std::array<double, kNumGpuTypes> per_type{};
-  static thread_local std::vector<Cell> candidates;
-  static thread_local CellBatchResult batch;
   // Ablation variants never rank pruned Cells, so they are not charged the
   // GPU-seconds to profile them either.
-  PrunedCandidates(job, cluster, &candidates);
+  PrunedCandidates(job, cluster, &candidates_);
   oracle_->EstimateCellBatch(
-      CellBatchRequest{&job.spec, candidates.data(), candidates.size()}, &batch);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    per_type[static_cast<int>(candidates[i].gpu_type)] +=
-        batch.estimates[i]->profile_gpu_seconds;
+      CellBatchRequest{&job.spec, candidates_.data(), candidates_.size()}, &batch_);
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    per_type[static_cast<int>(candidates_[i].gpu_type)] +=
+        batch_.estimates[i]->profile_gpu_seconds;
   }
   // Heterogeneous GPU types profile in parallel, one device each (§6.1);
   // Crius bounds the total at 30 minutes (§8.2).
@@ -355,31 +328,23 @@ ScheduleDecision CriusScheduler::Schedule(const RoundContext& round) {
   CRIUS_SCOPED_TIMER_MS("sched.round_ms");
   CRIUS_TRACE_SPAN_ARGS("sched.round",
                         "{\"jobs\": " + std::to_string(jobs.size()) + "}");
-  // Round-start memo maintenance + parallel warm-up: after this every
-  // CellsFor call below is a memo hit, so concurrent passes are read-mostly.
+  // Round-start memo maintenance + warm-up: after this every job's ranking
+  // is in the snapshot the passes below read.
   SyncCellsCache(round);
-  // "explorer" phase: the ScheduleOnce pass(es) that enumerate placements.
-  static Histogram& explorer_ms = CounterRegistry::Global().GetHistogram(
-      "sched.phase_ms", MetricLabels{{"phase", "explorer"}});
-  counters_internal::ScopedTimerMs explorer_timer(explorer_ms);
+  // "placement" phase: the ScheduleOnce pass(es) that enumerate placements.
+  static Histogram& placement_ms = CounterRegistry::Global().GetHistogram(
+      "sched.phase_ms", MetricLabels{{"phase", "placement"}});
+  counters_internal::ScopedTimerMs placement_timer(placement_ms);
   if (config_.placement_order != CriusPlacementOrder::kBestOfAll || config_.deadline_aware) {
     return ScheduleOnce(now, jobs, cluster, config_.placement_order).first;
   }
   // Solver-lite: evaluate every ordering virtually and keep the outcome with
-  // the highest total estimated throughput. Each pass is a pure function of
-  // (now, jobs, cluster, order) with its own virtual state, so the three run
-  // concurrently into slots; the winner is then picked sequentially in the
-  // same fixed order (strict > comparison) the single-threaded loop used --
-  // the decision is bit-identical across thread counts.
-  const std::array<CriusPlacementOrder, 3> orders = {CriusPlacementOrder::kFifo,
-                                                     CriusPlacementOrder::kScoreDensity,
-                                                     CriusPlacementOrder::kSmallestFirst};
-  std::array<std::pair<ScheduleDecision, double>, 3> results;
-  ThreadPool::Global().ParallelFor(orders.size(), [&](size_t i) {
-    results[i] = ScheduleOnce(now, jobs, cluster, orders[i]);
-  });
+  // the highest total estimated throughput; ties keep the earlier ordering.
   std::pair<ScheduleDecision, double> best{ScheduleDecision{}, -1.0};
-  for (std::pair<ScheduleDecision, double>& candidate : results) {
+  for (const CriusPlacementOrder order :
+       {CriusPlacementOrder::kFifo, CriusPlacementOrder::kScoreDensity,
+        CriusPlacementOrder::kSmallestFirst}) {
+    std::pair<ScheduleDecision, double> candidate = ScheduleOnce(now, jobs, cluster, order);
     if (candidate.second > best.second) {
       best = std::move(candidate);
     }
@@ -400,15 +365,10 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
 
   // --- Virtual state: running jobs keep their Cells ------------------------
   // Each job's ranking is read from the positional snapshot SyncCellsCache
-  // resolved (lock-free; the id tag catches ad-hoc callers whose job set
-  // drifted from the last sync, which fall back to the locked memo path).
-  // Pass scratch is thread_local: passes run as pool tasks (one per ordering
-  // under kBestOfAll) and nested ParallelFors stay inline on their worker,
-  // so no two live passes share a thread.
-  static thread_local std::vector<VirtualJob> vjobs;
-  static thread_local std::vector<size_t> queued_order;
-  vjobs.clear();
-  queued_order.clear();
+  // resolved (the id tag catches ad-hoc callers whose job set drifted from
+  // the last sync, which fall back to the memo).
+  vjobs_.clear();
+  queued_order_.clear();
   for (size_t ji = 0; ji < jobs.size(); ++ji) {
     const JobState* js = jobs[ji];
     VirtualJob vj;
@@ -434,24 +394,24 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       const double best = vj.cells->choices.empty() ? 0.0 : vj.cells->choices.front().score;
       vj.density = best / std::max(1, js->job.requested_gpus);
     }
-    vjobs.push_back(vj);
+    vjobs_.push_back(vj);
   }
-  for (size_t i = 0; i < vjobs.size(); ++i) {
-    if (!vjobs[i].cell.has_value()) {
-      queued_order.push_back(i);
+  for (size_t i = 0; i < vjobs_.size(); ++i) {
+    if (!vjobs_[i].cell.has_value()) {
+      queued_order_.push_back(i);
     }
   }
-  std::stable_sort(queued_order.begin(), queued_order.end(), [&](size_t a, size_t b) {
-    const TrainingJob& ja = vjobs[a].state->job;
-    const TrainingJob& jb = vjobs[b].state->job;
+  std::stable_sort(queued_order_.begin(), queued_order_.end(), [&](size_t a, size_t b) {
+    const TrainingJob& ja = vjobs_[a].state->job;
+    const TrainingJob& jb = vjobs_[b].state->job;
     if (config_.deadline_aware && ja.deadline.has_value() && jb.deadline.has_value() &&
         *ja.deadline != *jb.deadline) {
       return *ja.deadline < *jb.deadline;  // earliest deadline first
     }
     if (!config_.deadline_aware) {
       if (order == CriusPlacementOrder::kScoreDensity) {
-        if (vjobs[a].density != vjobs[b].density) {
-          return vjobs[a].density > vjobs[b].density;
+        if (vjobs_[a].density != vjobs_[b].density) {
+          return vjobs_[a].density > vjobs_[b].density;
         }
       } else if (order == CriusPlacementOrder::kSmallestFirst) {
         if (ja.requested_gpus != jb.requested_gpus) {
@@ -534,8 +494,8 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
 
   // --- Deadline admission (§8.5): early-drop hopeless jobs ------------------
   if (config_.deadline_aware) {
-    for (size_t qi : queued_order) {
-      VirtualJob& vj = vjobs[qi];
+    for (size_t qi : queued_order_) {
+      VirtualJob& vj = vjobs_[qi];
       if (!vj.state->job.deadline.has_value()) {
         continue;
       }
@@ -562,8 +522,8 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   bool some_job_pending = false;
   {
     CRIUS_TRACE_SPAN("sched.place");
-    for (size_t qi : queued_order) {
-      VirtualJob& vj = vjobs[qi];
+    for (size_t qi : queued_order_) {
+      VirtualJob& vj = vjobs_[qi];
       if (is_dropped(vj.state->job.id)) {
         continue;
       }
@@ -603,8 +563,8 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
           const CellChoice* best_new_cell = nullptr;
           bool enables_placement = false;
 
-          for (size_t vi = 0; vi < vjobs.size(); ++vi) {
-            VirtualJob& victim = vjobs[vi];
+          for (size_t vi = 0; vi < vjobs_.size(); ++vi) {
+            VirtualJob& victim = vjobs_[vi];
             if (vi == qi || !victim.cell.has_value()) {
               continue;
             }
@@ -648,7 +608,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
               (enables_placement && cumulative_delta + best_delta <= 0.0)) {
             break;  // no move, or completing the chain would lower throughput
           }
-          VirtualJob& victim = vjobs[best_victim];
+          VirtualJob& victim = vjobs_[best_victim];
           saved.emplace_back(best_victim, victim.cell);
           Give(*victim.cell, trial_free);
           Take(best_new_cell->cell, trial_free);
@@ -672,7 +632,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
         } else {
           // Roll back all speculative moves.
           for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-            VirtualJob& victim = vjobs[it->first];
+            VirtualJob& victim = vjobs_[it->first];
             victim.cell = it->second;
             victim.score = 0.0;
             for (const CellChoice& c : victim.cells->choices) {
@@ -697,17 +657,17 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   // --- Pending-job preemption of opportunistic jobs (§6.1) ------------------
   if (config_.opportunistic && some_job_pending) {
     CRIUS_TRACE_SPAN("sched.preempt_opportunistic");
-    for (size_t qi : queued_order) {
-      VirtualJob& vj = vjobs[qi];
+    for (size_t qi : queued_order_) {
+      VirtualJob& vj = vjobs_[qi];
       if (vj.cell.has_value() || is_dropped(vj.state->job.id)) {
         continue;
       }
       // Would evicting all opportunistic jobs make room?
       FreeMap f2 = free;
       std::vector<size_t> evictable;
-      for (size_t vi = 0; vi < vjobs.size(); ++vi) {
-        if (vjobs[vi].cell.has_value() && vjobs[vi].opportunistic) {
-          Give(*vjobs[vi].cell, f2);
+      for (size_t vi = 0; vi < vjobs_.size(); ++vi) {
+        if (vjobs_[vi].cell.has_value() && vjobs_[vi].opportunistic) {
+          Give(*vjobs_[vi].cell, f2);
           evictable.push_back(vi);
         }
       }
@@ -718,7 +678,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
       // Evict only as many opportunistic jobs as needed (latest first).
       FreeMap f3 = free;
       for (auto it = evictable.rbegin(); it != evictable.rend(); ++it) {
-        VirtualJob& opp = vjobs[*it];
+        VirtualJob& opp = vjobs_[*it];
         Give(*opp.cell, f3);
         opp.cell.reset();
         opp.score = 0.0;
@@ -747,8 +707,8 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
                            : -std::numeric_limits<double>::infinity();
     size_t best_vi = 0;
     const CellChoice* best_cell = nullptr;
-    for (size_t vi = 0; vi < vjobs.size(); ++vi) {
-      VirtualJob& vj = vjobs[vi];
+    for (size_t vi = 0; vi < vjobs_.size(); ++vi) {
+      VirtualJob& vj = vjobs_[vi];
       if (!vj.cell.has_value()) {
         continue;
       }
@@ -804,7 +764,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
     if (best_cell == nullptr) {
       break;
     }
-    VirtualJob& vj = vjobs[best_vi];
+    VirtualJob& vj = vjobs_[best_vi];
     Give(*vj.cell, free);
     Take(best_cell->cell, free);
     vj.cell = best_cell->cell;
@@ -817,7 +777,7 @@ std::pair<ScheduleDecision, double> CriusScheduler::ScheduleOnce(
   double total_score = 0.0;
   double watts_sum = 0.0;
   std::vector<double> placed_scores;
-  for (const VirtualJob& vj : vjobs) {
+  for (const VirtualJob& vj : vjobs_) {
     if (!vj.cell.has_value()) {
       continue;
     }

@@ -103,8 +103,8 @@ class CriusScheduler : public Scheduler {
   };
   // Virtual placement of one job during a scheduling pass. `cells` caches the
   // job's memoized ranking, resolved exactly once per pass, so the placement
-  // loops (including the density sort comparator) never re-enter the memo's
-  // shard locks mid-pass.
+  // loops (including the density sort comparator) never look up the memo
+  // mid-pass.
   struct VirtualJob {
     const JobState* state = nullptr;
     const JobCells* cells = nullptr;
@@ -114,9 +114,8 @@ class CriusScheduler : public Scheduler {
     bool opportunistic = false;
   };
 
-  // Pure computation of the scored Cell candidates for `job` under the
-  // ablation flags. Touches no scheduler state besides the (thread-safe)
-  // oracle, so pool workers may run it concurrently during cache warm-up.
+  // The scored Cell candidates for `job` under the ablation flags: a pure
+  // function of (job, cluster health). Uses the candidates_/batch_ scratch.
   JobCells ComputeCells(const TrainingJob& job, const Cluster& cluster);
 
   // Fills *out with the job's candidate Cells minus those the ablation flags
@@ -127,8 +126,7 @@ class CriusScheduler : public Scheduler {
                         std::vector<Cell>* out) const;
 
   // Cell candidates for `job`, scored and memoized under the cluster's
-  // current (identity, health_epoch) stamp. Thread-safe: concurrent placement
-  // passes may look up (and, on a miss, populate) the memo.
+  // current (identity, health_epoch) stamp.
   const JobCells& CellsFor(const TrainingJob& job, const Cluster& cluster);
 
   // Round-start memo maintenance. The memo persists across rounds: when the
@@ -138,13 +136,12 @@ class CriusScheduler : public Scheduler {
   // re-ranked; the rest are restamped in place. Falls back to a full re-rank
   // when the cluster identity changed or the epoch moved with an empty-handed
   // event delta. Always evicts entries for jobs no longer in the round and
-  // warms missing entries in parallel.
+  // warms missing entries.
   void SyncCellsCache(const RoundContext& round);
 
   // One full virtual-scheduling pass with a fixed queued-job order; also
   // returns the decision's total estimated normalized throughput. Pure
-  // function of (now, jobs, cluster, order); safe to run concurrently with
-  // other passes once the Cell cache is warm.
+  // function of (now, jobs, cluster, order).
   std::pair<ScheduleDecision, double> ScheduleOnce(double now,
                                                    const std::vector<const JobState*>& jobs,
                                                    const Cluster& cluster,
@@ -171,15 +168,20 @@ class CriusScheduler : public Scheduler {
   // unchanged so eventless callers that shrink the job set still get the
   // eviction sweep.
   size_t cells_jobs_seen_ = 0;
-  // Round-maintenance scratch, reused across rounds so steady-state sync does
-  // no heap allocation (SyncCellsCache runs single-threaded by contract).
+  // Scratch reused across rounds so the steady-state sync, ranking and
+  // placement paths do no heap allocation. A scheduler is used by one thread
+  // at a time.
   std::vector<int64_t> active_ids_;
   std::vector<const JobState*> missing_;
+  std::vector<Cell> candidates_;
+  CellBatchResult batch_;
+  std::vector<VirtualJob> vjobs_;
+  std::vector<size_t> queued_order_;
   // The round's rankings resolved once per sync, positionally aligned with
-  // round.jobs(): ScheduleOnce passes read these pointers lock-free instead
-  // of re-entering the memo's shard mutexes. Valid between syncs because memo
-  // entries are never mutated in place and maintenance only runs in
-  // SyncCellsCache; the id tag guards positional reads for ad-hoc callers.
+  // round.jobs(): ScheduleOnce passes read these pointers instead of doing a
+  // memo lookup per job per pass. Valid between syncs because memo entries
+  // are never mutated in place and maintenance only runs in SyncCellsCache;
+  // the id tag guards positional reads for ad-hoc callers.
   std::vector<std::pair<int64_t, const JobCells*>> cells_snapshot_;
 };
 

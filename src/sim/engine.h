@@ -54,8 +54,8 @@ class SimEngine {
   SimEngine(const Cluster& cluster_template, SimConfig config, Scheduler& scheduler,
             PerformanceOracle& oracle);
 
-  // Batch path: profiling delay and reference throughput were precomputed by
-  // the caller's parallel prepass. Aborts if the job is infeasible everywhere
+  // Batch path: the caller's startup prepass priced the profiling delay and
+  // reference throughput. Aborts if the job is infeasible everywhere
   // or its id collides with an existing job.
   void AddJob(const TrainingJob& job, double profiling_delay, double reference_throughput);
 

@@ -6,7 +6,6 @@
 #include "src/sim/engine.h"
 #include "src/util/check.h"
 #include "src/util/counters.h"
-#include "src/util/threadpool.h"
 #include "src/util/trace.h"
 
 namespace crius {
@@ -75,31 +74,22 @@ SimResult Simulator::Run(Scheduler& scheduler, PerformanceOracle& oracle,
 
   SimEngine engine(cluster_template_, config_, scheduler, oracle);
 
-  // Startup prepass: per-job profiling delay and reference throughput dominate
-  // cold-start time (they fault in the oracle's explorer/estimator caches).
-  // Both are pure functions of (job, cluster), so they fan out over the global
-  // pool into per-job slots; observability records and feasibility checks then
-  // run sequentially (inside AddJob) so output is identical across thread
-  // counts.
-  std::vector<double> profile_delays(trace.size(), 0.0);
-  std::vector<double> ref_throughputs(trace.size(), 0.0);
   {
     CRIUS_TRACE_SPAN_ARGS("sim.startup_prepass",
                           "{\"jobs\": " + std::to_string(trace.size()) + "}");
-    // The engine's working cluster copy (still pristine here) rather than the
-    // template: CriusScheduler keys its cells memo on Cluster::identity(), so
-    // warming against the copy the rounds will actually see keeps the prepass
-    // cache-priming effective.
+    // Startup prepass: per-job profiling delay and reference throughput
+    // dominate cold-start time (they fault in the oracle's explorer/estimator
+    // caches). Priced against the engine's working cluster copy (still
+    // pristine here) rather than the template: CriusScheduler keys its cells
+    // memo on Cluster::identity(), so pricing against the copy the rounds
+    // will actually see keeps the cache priming effective.
     const Cluster& cluster = engine.cluster();
-    ThreadPool::Global().ParallelFor(trace.size(), [&](size_t i) {
-      if (config_.charge_profiling) {
-        profile_delays[i] = scheduler.ProfilingDelay(trace[i], cluster);
-      }
-      ref_throughputs[i] = ReferenceThroughput(oracle, cluster, trace[i]);
-    });
-  }
-  for (size_t i = 0; i < trace.size(); ++i) {
-    engine.AddJob(trace[i], profile_delays[i], ref_throughputs[i]);
+    for (const TrainingJob& job : trace) {
+      const double profiling_delay =
+          config_.charge_profiling ? scheduler.ProfilingDelay(job, cluster) : 0.0;
+      const double reference = ReferenceThroughput(oracle, cluster, job);
+      engine.AddJob(job, profiling_delay, reference);
+    }
   }
 
   engine.Drain();

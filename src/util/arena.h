@@ -19,8 +19,9 @@
 //     large block ("large-block fallback"); it is recycled by Reset like any
 //     other block, so a one-off huge round does not wedge the arena into
 //     permanently oversized steady-state behaviour beyond keeping that block.
-//   * Not thread-safe. One arena per thread of execution (EstimatorScratch is
-//     threaded through the batch API exactly so each pool worker owns one).
+//   * Not thread-safe. One arena per thread of execution: each thread's
+//     estimates borrow its own EstimatorScratch, so independent oracles on
+//     separate threads never share one.
 //
 // ArenaVector<T> is the minimal vector shim the hot loops need: contiguous,
 // grow-by-doubling via arena storage, no destructor calls, no shrinking. Use

@@ -1,4 +1,4 @@
-// Generation-stamped memo on top of the ShardedCache pattern.
+// Generation-stamped memo.
 //
 // GenStampedMemo caches values that are pure functions of (key, generation):
 // each entry carries the MemoStamp it was computed under, and Find only hits
@@ -7,26 +7,16 @@
 // restamps the clean survivors (incremental path) or clears outright (full
 // recompute) -- stale entries are never served.
 //
-// Like ShardedCache, the key space is sharded over independently locked
-// std::maps so concurrent readers on different shards proceed in parallel,
-// and returned references stay valid until the entry is erased or the memo is
-// cleared (std::map nodes are stable). Unlike ShardedCache, values are
-// computed OUTSIDE the lock by the caller and inserted with PutIfAbsent
-// (first-wins on a same-stamp race: both racers computed the identical pure
-// value, and first-wins keeps previously handed-out references immutable).
-//
-// Maintenance calls (Restamp/Erase/EvictIf/Clear) must not run concurrently
-// with Find/PutIfAbsent on the same entries' lifetimes being relied upon:
-// the intended use is a single-threaded round-start sync followed by a
-// read-mostly parallel phase, which is how CriusScheduler drives it.
+// Entries live in one std::map, so returned references stay valid until the
+// entry is erased or the memo is cleared. Not thread-safe: the owner
+// (CriusScheduler) is used by one thread at a time.
 
 #ifndef SRC_UTIL_GEN_MEMO_H_
 #define SRC_UTIL_GEN_MEMO_H_
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <utility>
 
 namespace crius {
@@ -45,18 +35,14 @@ struct MemoStamp {
   friend bool operator!=(const MemoStamp& a, const MemoStamp& b) { return !(a == b); }
 };
 
-template <typename Key, typename Value, int kNumShards = 16>
+template <typename Key, typename Value>
 class GenStampedMemo {
-  static_assert(kNumShards > 0);
-
  public:
   // Returns the entry for `key` iff it exists AND carries `stamp`; nullptr
   // otherwise. The reference stays valid until the entry is erased.
-  const Value* Find(const Key& key, uint64_t hash, const MemoStamp& stamp) const {
-    const Shard& shard = ShardFor(hash);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end() || it->second.stamp != stamp) {
+  const Value* Find(const Key& key, const MemoStamp& stamp) const {
+    auto it = map_.find(key);
+    if (it == map_.end() || it->second.stamp != stamp) {
       return nullptr;
     }
     return &it->second.value;
@@ -64,14 +50,12 @@ class GenStampedMemo {
 
   // Inserts (key, stamp, value). If an entry with the same stamp already
   // exists the insert is dropped and the existing value returned (first
-  // wins); an entry with a stale stamp is overwritten in place. Callers
-  // compute `value` outside any memo lock.
-  const Value& PutIfAbsent(const Key& key, uint64_t hash, const MemoStamp& stamp, Value&& value) {
-    Shard& shard = ShardFor(hash);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      it = shard.map.emplace(key, Entry{stamp, std::move(value)}).first;
+  // wins, so references handed out earlier stay immutable); an entry with a
+  // stale stamp is overwritten in place.
+  const Value& PutIfAbsent(const Key& key, const MemoStamp& stamp, Value&& value) {
+    auto it = map_.find(key);
+    if (it == map_.end()) {
+      it = map_.emplace(key, Entry{stamp, std::move(value)}).first;
     } else if (it->second.stamp != stamp) {
       it->second.stamp = stamp;
       it->second.value = std::move(value);
@@ -81,84 +65,50 @@ class GenStampedMemo {
 
   // Moves an existing entry (whatever its current stamp) to `stamp` without
   // recomputing its value. Returns false if `key` is absent.
-  bool Restamp(const Key& key, uint64_t hash, const MemoStamp& stamp) {
-    Shard& shard = ShardFor(hash);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
+  bool Restamp(const Key& key, const MemoStamp& stamp) {
+    auto it = map_.find(key);
+    if (it == map_.end()) {
       return false;
     }
     it->second.stamp = stamp;
     return true;
   }
 
-  bool Contains(const Key& key, uint64_t hash) const {
-    const Shard& shard = ShardFor(hash);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.find(key) != shard.map.end();
-  }
+  bool Contains(const Key& key) const { return map_.find(key) != map_.end(); }
 
   // Erases `key` if present; returns whether an entry was removed.
-  bool Erase(const Key& key, uint64_t hash) {
-    Shard& shard = ShardFor(hash);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.erase(key) > 0;
-  }
+  bool Erase(const Key& key) { return map_.erase(key) > 0; }
 
   // Erases every entry for which pred(key, stamp) is true; returns the number
-  // of entries removed. Shards are visited in index order, keys in map order,
-  // so the eviction sequence is deterministic.
+  // of entries removed. Keys are visited in map order, so the eviction
+  // sequence is deterministic.
   template <typename Pred>
   size_t EvictIf(Pred&& pred) {
     size_t evicted = 0;
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (auto it = shard.map.begin(); it != shard.map.end();) {
-        if (pred(it->first, it->second.stamp)) {
-          it = shard.map.erase(it);
-          ++evicted;
-        } else {
-          ++it;
-        }
+    for (auto it = map_.begin(); it != map_.end();) {
+      if (pred(it->first, it->second.stamp)) {
+        it = map_.erase(it);
+        ++evicted;
+      } else {
+        ++it;
       }
     }
     return evicted;
   }
 
-  void Clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.map.clear();
-    }
-  }
+  void Clear() { map_.clear(); }
 
-  size_t size() const {
-    size_t n = 0;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      n += shard.map.size();
-    }
-    return n;
-  }
+  size_t size() const { return map_.size(); }
 
-  bool empty() const { return size() == 0; }
+  bool empty() const { return map_.empty(); }
 
  private:
   struct Entry {
     MemoStamp stamp;
     Value value;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<Key, Entry> map;
-  };
 
-  Shard& ShardFor(uint64_t hash) { return shards_[static_cast<size_t>(hash % kNumShards)]; }
-  const Shard& ShardFor(uint64_t hash) const {
-    return shards_[static_cast<size_t>(hash % kNumShards)];
-  }
-
-  std::array<Shard, kNumShards> shards_;
+  std::map<Key, Entry> map_;
 };
 
 }  // namespace crius

@@ -1,4 +1,8 @@
-// Small work-stealing thread pool for the scheduling/estimation hot path.
+// Small work-stealing thread pool for the work that does run in parallel:
+// the serve daemon's per-connection dispatch (src/serve/server.cc) and
+// per-seed bench runs that each own an independent oracle
+// (bench/ext_robustness). A simulation's oracle and scheduler stay on one
+// thread (DESIGN.md §7a).
 //
 // Design goals, in order:
 //   1. Determinism. ParallelFor(n, fn) runs fn(0..n-1) with results written
@@ -18,8 +22,8 @@
 // ParallelFor never blocks on a fully busy pool.
 //
 // The process-wide pool is sized by ThreadPool::SetGlobalThreads (the
-// --threads flag of crius_sim / crius_plan); call it from main before any
-// parallel section, not concurrently with one.
+// --threads flag of crius_serve, ext_serve and ext_robustness); call it from
+// main before any parallel section, not concurrently with one.
 
 #ifndef SRC_UTIL_THREADPOOL_H_
 #define SRC_UTIL_THREADPOOL_H_

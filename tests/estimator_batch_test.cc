@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/estimator.h"
@@ -142,6 +144,54 @@ TEST_F(OracleBatchTest, DuplicateCellsInOneBatchAgree) {
   EXPECT_EQ(batch.estimates[0], batch.estimates[1]);
   EXPECT_EQ(batch.estimates[1], batch.estimates[2]);
   EXPECT_EQ(batch.throughput[0], batch.throughput[1]);
+  // The first copy is estimated and cached; the repeats hit it.
+  EXPECT_EQ(batch.misses, 1u);
+  EXPECT_EQ(batch.hits, 2u);
+}
+
+TEST_F(OracleBatchTest, IndependentOraclesOnTwoThreadsAgree) {
+  // An oracle is used by one thread at a time, but independent oracles may
+  // run on separate threads (bench/ext_robustness runs one per seed). Two
+  // same-seed oracles on two threads must estimate exactly what a
+  // sequential one does.
+  const std::vector<ModelSpec> specs = {{ModelFamily::kBert, 1.3, 128},
+                                        {ModelFamily::kMoe, 2.4, 256},
+                                        {ModelFamily::kWideResNet, 2.0, 256}};
+  std::vector<Cell> cells;
+  for (GpuType type : {GpuType::kA100, GpuType::kA40}) {
+    for (int ngpus : {2, 4, 8}) {
+      for (int nstages = 1; nstages <= ngpus; nstages *= 2) {
+        cells.push_back(Cell{type, ngpus, nstages});
+      }
+    }
+  }
+  auto run = [&](PerformanceOracle& oracle, std::vector<CellEstimate>* out) {
+    CellBatchResult batch;
+    for (const ModelSpec& spec : specs) {
+      oracle.EstimateCellBatch(CellBatchRequest{&spec, cells.data(), cells.size()}, &batch);
+      for (const CellEstimate* est : batch.estimates) {
+        out->push_back(*est);
+      }
+    }
+  };
+  std::vector<CellEstimate> sequential;
+  run(oracle_, &sequential);
+
+  PerformanceOracle oracle_a(cluster_, 42);
+  PerformanceOracle oracle_b(cluster_, 42);
+  std::vector<CellEstimate> on_a;
+  std::vector<CellEstimate> on_b;
+  std::thread thread_a([&] { run(oracle_a, &on_a); });
+  std::thread thread_b([&] { run(oracle_b, &on_b); });
+  thread_a.join();
+  thread_b.join();
+
+  ASSERT_EQ(on_a.size(), sequential.size());
+  ASSERT_EQ(on_b.size(), sequential.size());
+  for (size_t i = 0; i < sequential.size(); ++i) {
+    ExpectBitIdentical(on_a[i], sequential[i], "thread a, estimate " + std::to_string(i));
+    ExpectBitIdentical(on_b[i], sequential[i], "thread b, estimate " + std::to_string(i));
+  }
 }
 
 TEST_F(OracleBatchTest, EmptyBatchIsANoOp) {

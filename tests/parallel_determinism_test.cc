@@ -1,9 +1,10 @@
-// Acceptance test for the parallel scheduling/estimation fan-out: a full
-// simulation run must produce BIT-IDENTICAL event and timeline CSVs at any
-// thread count. Every cached quantity is a pure function of its key and every
-// fan-out writes into caller-owned slots, so the only way this test fails is a
-// real determinism bug (ordering leak, shared-state race, or a cache whose
-// value depends on population order).
+// A full simulation run must produce BIT-IDENTICAL event and timeline CSVs
+// whatever the global pool's size: a run's oracle and scheduler stay on the
+// calling thread, so the pool (used by serve dispatch and per-seed bench
+// runs) must never reach a decision. Every cached quantity is a pure function
+// of its key, so the only way this test fails is a real determinism bug
+// (ordering leak, shared-state race, or a cache whose value depends on
+// population order).
 
 #include <gtest/gtest.h>
 

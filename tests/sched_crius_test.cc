@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/sched/factory.h"
 #include "src/util/counters.h"
 #include "src/util/threadpool.h"
 #include "tests/sched_test_util.h"
@@ -440,9 +441,26 @@ TEST_F(CriusSchedTest, RepeatedScheduleIsIdempotent) {
   ExpectSameDecision(first, second);
 }
 
+TEST_F(CriusSchedTest, SolverRoundRecordsPlacementPhase) {
+  // sched.phase_ms{phase="placement"} times the ScheduleOnce passes; the
+  // scheduler records no "explorer" phase (src/parallel's Explorer is a
+  // different layer).
+  const CounterRegistry& registry = CounterRegistry::Global();
+  const std::string placement = CanonicalMetricName("sched.phase_ms", {{"phase", "placement"}});
+  const std::string explorer = CanonicalMetricName("sched.phase_ms", {{"phase", "explorer"}});
+  const size_t before = registry.HistogramValues(placement).count;
+  std::unique_ptr<Scheduler> sched = MakeNamedScheduler("crius-solver", &oracle_, {});
+  for (int i = 0; i < 6; ++i) {
+    AddQueued(i, (i % 2) ? kMedium : kSmall, 4, GpuType::kA100, static_cast<double>(i));
+  }
+  sched->Schedule(Round(0.0));
+  EXPECT_EQ(registry.HistogramValues(placement).count, before + 1);
+  EXPECT_EQ(registry.HistogramValues(explorer).count, 0u);
+}
+
 TEST_F(CriusSchedTest, BestOfAllIdenticalAcrossThreadCounts) {
-  // kBestOfAll fans the three placement passes out over the global pool; the
-  // chosen decision must be bit-identical to the sequential build.
+  // The global pool's size must not reach the decision: the three kBestOfAll
+  // placement passes run in sequence on the calling thread at any size.
   for (int i = 0; i < 30; ++i) {
     AddQueued(i, (i % 2) ? kMedium : kSmall, (i % 3) ? 16 : 4, GpuType::kA100,
               static_cast<double>(i));

@@ -125,7 +125,7 @@ int Run(int argc, const char* const* argv) {
   flags.String("timeline-csv", &timeline_csv, "write the throughput timeline to this CSV");
   flags.String("events-csv", &events_csv, "write the scheduling-event log to this CSV");
   flags.Bool("counters", &counters, "print the counter/histogram table on exit");
-  flags.Int("threads", &threads, "worker threads (socket dispatch + estimation fan-out)");
+  flags.Int("threads", &threads, "worker threads (socket dispatch)");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
