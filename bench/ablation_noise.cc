@@ -18,8 +18,9 @@
 #include "bench/bench_util.h"
 #include "src/util/stats.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   // The 4-type simulated cluster: mis-ranked GPU types / sizes actually
   // cost something here, unlike on the near-homogeneous 2-type testbed.
   Cluster cluster = MakeSimulatedCluster();

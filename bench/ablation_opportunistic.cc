@@ -11,8 +11,9 @@
 
 #include "bench/bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   // Single GPU type: heterogeneity scaling cannot sidestep the blocked head,
   // so the opportunistic mechanism itself carries the load.
   Cluster cluster = ParseClusterSpec("A40:16x2");

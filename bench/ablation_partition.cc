@@ -55,8 +55,9 @@ double BestTimeForPartition(const PerfModel& model, const JobContext& ctx,
 }  // namespace
 }  // namespace crius
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakeSimulatedCluster();
   PerfModel model(cluster);
 

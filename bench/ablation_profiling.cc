@@ -35,8 +35,9 @@ class ScaledProfilingScheduler : public Scheduler {
 }  // namespace
 }  // namespace crius
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakePhysicalTestbed();
   PerformanceOracle oracle(cluster, 42);
   const auto trace = GenerateTrace(cluster, oracle, PhillySixHourConfig());

@@ -5,39 +5,46 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sched/baselines.h"
 #include "src/sched/crius_sched.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
-#include "src/util/benchdiff.h"
 #include "src/util/flags.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 #include "src/util/threadpool.h"
 
 namespace crius {
 
-// Parses "--threads N" (or "--threads=N") for the benches whose pool does
-// real work -- ext_robustness's per-seed runs and ext_serve's socket
-// dispatch -- and sizes the global pool accordingly. Routed through
-// FlagSet::ParseKnown so a malformed value warns and keeps the default
-// instead of silently turning garbage into 0, and so flags owned by the
-// bench binary itself pass through untouched. Results are bit-identical
-// across thread counts.
-inline void ConfigureBenchThreads(int argc, char** argv) {
-  int64_t threads = 1;
-  FlagSet flags("bench", "shared benchmark flags");
-  flags.Int("threads", &threads, "worker threads");
-  flags.ParseKnown(argc, argv);
+// The benches without flags of their own take no arguments: anything on the
+// command line exits 1, so a stale or mistyped flag never runs a study it
+// did not ask for.
+inline void RequireNoArgs(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "%s: takes no arguments (got '%s')\n", argv[0], argv[1]);
+    std::exit(1);
+  }
+}
+
+// Sizes the global pool from the --threads flag of ext_serve and
+// ext_robustness; false (after a message) outside 1..4096. Results are
+// bit-identical across thread counts.
+inline bool SetBenchThreads(int64_t threads) {
   if (threads < 1 || threads > 4096) {
-    std::fprintf(stderr, "warning: ignoring --threads value %lld (expected 1..4096); using 1\n",
+    std::fprintf(stderr, "error: --threads %lld out of range 1..4096\n",
                  static_cast<long long>(threads));
-    threads = 1;
+    return false;
   }
   ThreadPool::SetGlobalThreads(static_cast<int>(threads));
+  return true;
 }
 
 // The five schedulers of §8.1, in the paper's presentation order.
@@ -81,15 +88,42 @@ class TimedScheduler : public Scheduler {
   int calls_ = 0;
 };
 
-// Writes `report` to `path` (no-op when the bench's --json flag was absent). The emitted
-// per-metric thresholds become the checked-in baseline's thresholds when a
-// run is promoted to bench/baselines/, so benches stamp loose bounds on
-// noisy wall-time metrics and tight ones on dimensionless ratios there.
-inline bool EmitBenchReport(const BenchReport& report, const std::string& path) {
+struct BenchMetric {
+  double value = 0.0;
+  std::string unit;
+};
+
+// Writes a bench's deterministic outputs to `path` (no-op when empty) as
+// {"bench", "meta", "metrics": {name: {"unit", "value"}}} with sorted keys,
+// atomically (temp file + rename). Every value is a pure function of the
+// seed, so the ctest gate in bench/CMakeLists.txt diffs the file byte for
+// byte against bench/baselines/BENCH_<name>.json.
+inline bool WriteBenchReport(const std::string& path, const std::string& bench,
+                             const std::map<std::string, std::string>& meta,
+                             const std::map<std::string, BenchMetric>& metrics) {
   if (path.empty()) {
     return true;
   }
-  if (!report.WriteFile(path)) {
+  Json meta_obj = Json::Object();
+  for (const auto& [key, value] : meta) {
+    meta_obj.Set(key, Json::Str(value));
+  }
+  Json metrics_obj = Json::Object();
+  for (const auto& [name, metric] : metrics) {
+    Json& entry = metrics_obj.Set(name, Json::Object());
+    entry.Set("unit", Json::Str(metric.unit));
+    entry.Set("value", Json::Number(metric.value));
+  }
+  Json root = Json::Object();
+  root.Set("bench", Json::Str(bench));
+  root.Set("meta", std::move(meta_obj));
+  root.Set("metrics", std::move(metrics_obj));
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp);
+  out << root.Serialize(2) << "\n";
+  out.close();
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
     std::fprintf(stderr, "error: cannot write bench report %s\n", path.c_str());
     return false;
   }

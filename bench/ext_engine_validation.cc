@@ -15,8 +15,9 @@
 #include "src/runtime/pipeline_engine.h"
 #include "src/util/stats.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakeSimulatedCluster();
   PerfModel model(cluster);
   Explorer explorer(&model);

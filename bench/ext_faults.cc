@@ -15,8 +15,9 @@
 #include "src/fault/failure_injector.h"
 #include "src/util/stats.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakePhysicalTestbed();
   constexpr uint64_t kSeed = 42;
 

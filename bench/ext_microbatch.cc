@@ -12,8 +12,9 @@
 #include "bench/bench_util.h"
 #include "src/runtime/pipeline_engine.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakeSimulatedCluster();
   PerfModel model(cluster);
   Explorer explorer(&model);

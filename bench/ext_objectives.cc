@@ -9,8 +9,8 @@
 //
 // Flags:
 //   --jobs N  override the trace's job count (0 = keep the preset's default).
-//   --json F  write a BENCH_objectives.json perf-trajectory report to F
-//             (compared against bench/baselines/ by crius_benchdiff in CI).
+//   --json F  write the deterministic headline numbers to F (the ctest gate
+//             diffs it against bench/baselines/BENCH_objectives.json).
 
 #include <cstdio>
 
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   std::string report_path;
   FlagSet flags("ext_objectives", "multi-objective weight sweep");
   flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
-  flags.String("json", &report_path, "write a BENCH_objectives.json perf report to this path");
+  flags.String("json", &report_path, "write the BENCH_objectives.json report to this path");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -68,24 +68,19 @@ int main(int argc, char** argv) {
               "Jain's index at a modest aggregate-throughput cost -- Cell estimates\n"
               "support either objective unchanged (§6).\n");
 
-  if (!report_path.empty()) {
-    BenchReport report;
-    report.bench = "ext_objectives";
-    report.meta["trace"] = config.name;
-    report.meta["jobs"] = std::to_string(trace.size());
-    for (const Arm& arm : arms) {
-      const SimResult& r = arm.result;
-      const std::string k = arm.key;
-      // Deterministic simulation: tight bounds on the dimensionless ratios,
-      // a looser one on the absolute JCT.
-      report.AddMetric(k + ".avg_jct_min", r.avg_jct / kMinute, "min", "lower", 0.2);
-      report.AddMetric(k + ".p99_slowdown", r.p99_slowdown, "", "lower", 0.15);
-      report.AddMetric(k + ".fairness", r.fairness_index, "", "higher", 0.1);
-      report.AddMetric(k + ".avg_throughput", r.avg_throughput, "", "higher", 0.15);
-    }
-    if (!EmitBenchReport(report, report_path)) {
-      return 1;
-    }
+  std::map<std::string, BenchMetric> metrics;
+  for (const Arm& arm : arms) {
+    const SimResult& r = arm.result;
+    const std::string k = arm.key;
+    metrics[k + ".avg_jct_min"] = {r.avg_jct / kMinute, "min"};
+    metrics[k + ".p99_slowdown"] = {r.p99_slowdown, ""};
+    metrics[k + ".fairness"] = {r.fairness_index, ""};
+    metrics[k + ".avg_throughput"] = {r.avg_throughput, ""};
+  }
+  if (!WriteBenchReport(report_path, "ext_objectives",
+                        {{"trace", config.name}, {"jobs", std::to_string(trace.size())}},
+                        metrics)) {
+    return 1;
   }
   return 0;
 }

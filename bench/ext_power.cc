@@ -21,8 +21,8 @@
 //             energy than nominal at equal weights, and (c) energy weighting
 //             does not zero out throughput (CI regression gate).
 //   --jobs N  override the trace's job count (0 = keep the preset's default).
-//   --json F  write a BENCH_power.json perf-trajectory report to F
-//             (compared against bench/baselines/ by crius_benchdiff in CI).
+//   --json F  write the deterministic headline numbers to F (the ctest gate
+//             diffs it against bench/baselines/BENCH_power.json).
 
 #include <cmath>
 #include <cstdio>
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   FlagSet flags("ext_power", "power/DVFS Pareto sweep");
   flags.Bool("smoke", &smoke, "small CI-sized run with a pass/fail gate");
   flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
-  flags.String("json", &report_path, "write a BENCH_power.json perf report to this path");
+  flags.String("json", &report_path, "write the BENCH_power.json report to this path");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -132,26 +132,20 @@ int main(int argc, char** argv) {
               "avg JCT %+.1f%%\n",
               dvfs_states.back().c_str(), -100.0 * energy_saved, 100.0 * jct_cost);
 
-  if (!report_path.empty()) {
-    BenchReport report;
-    report.bench = "ext_power";
-    report.meta["mode"] = smoke ? "smoke" : "full";
-    report.meta["trace"] = trace_config.name;
-    report.meta["jobs"] = std::to_string(trace.size());
-    report.meta["dvfs_deepest"] = dvfs_states.back();
-    // The simulation is deterministic, so energy and JCT can carry tight
-    // bounds; the derived savings ratio is the headline the gate protects.
-    report.AddMetric("base.energy_kwh", Kwh(base.total_joules), "kWh", "lower", 0.15);
-    report.AddMetric("base.avg_jct_min", base.avg_jct / kMinute, "min", "lower", 0.2);
-    report.AddMetric("base.fairness", base.fairness_index, "", "higher", 0.1);
-    report.AddMetric("green.energy_kwh", Kwh(green.total_joules), "kWh", "lower", 0.15);
-    report.AddMetric("green.avg_jct_min", green.avg_jct / kMinute, "min", "lower", 0.2);
-    report.AddMetric("green.fairness", green.fairness_index, "", "higher", 0.1);
-    report.AddMetric("energy_saved_frac", energy_saved, "", "higher", 0.15);
-    report.AddMetric("useful_frac", base.useful_joules / base.total_joules, "", "higher", 0.1);
-    if (!EmitBenchReport(report, report_path)) {
-      return 1;
-    }
+  if (!WriteBenchReport(report_path, "ext_power",
+                        {{"mode", smoke ? "smoke" : "full"},
+                         {"trace", trace_config.name},
+                         {"jobs", std::to_string(trace.size())},
+                         {"dvfs_deepest", dvfs_states.back()}},
+                        {{"base.energy_kwh", {Kwh(base.total_joules), "kWh"}},
+                         {"base.avg_jct_min", {base.avg_jct / kMinute, "min"}},
+                         {"base.fairness", {base.fairness_index, ""}},
+                         {"green.energy_kwh", {Kwh(green.total_joules), "kWh"}},
+                         {"green.avg_jct_min", {green.avg_jct / kMinute, "min"}},
+                         {"green.fairness", {green.fairness_index, ""}},
+                         {"energy_saved_frac", {energy_saved, ""}},
+                         {"useful_frac", {base.useful_joules / base.total_joules, ""}}})) {
+    return 1;
   }
 
   if (smoke) {

@@ -21,8 +21,8 @@
 //             (a) at least one migration was applied and (b) reconfig is not
 //             worse than frozen on goodput and avg JCT (CI regression gate).
 //   --jobs N  override the trace's job count (0 = keep the preset's default).
-//   --json F  write a BENCH_reconfig.json perf-trajectory report to F
-//             (compared against bench/baselines/ by crius_benchdiff in CI).
+//   --json F  write the deterministic headline numbers to F (the ctest gate
+//             diffs it against bench/baselines/BENCH_reconfig.json).
 
 #include <cstdio>
 
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   FlagSet flags("ext_reconfig", "live reconfiguration sweep");
   flags.Bool("smoke", &smoke, "small CI-sized run with a pass/fail gate");
   flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
-  flags.String("json", &report_path, "write a BENCH_reconfig.json perf report to this path");
+  flags.String("json", &report_path, "write the BENCH_reconfig.json report to this path");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -148,29 +148,21 @@ int main(int argc, char** argv) {
               rate_label(mtbf_hours.back()).c_str(), 100.0 * goodput_delta,
               p99_delta / kMinute, harsh.reconfig.migrations);
 
-  if (!report_path.empty()) {
-    BenchReport report;
-    report.bench = "ext_reconfig";
-    report.meta["mode"] = smoke ? "smoke" : "full";
-    report.meta["trace"] = trace_config.name;
-    report.meta["jobs"] = std::to_string(trace.size());
-    report.meta["mtbf_hours"] = Table::Fmt(mtbf_hours.back(), 0);
-    // Absolute JCTs of a deterministic simulation are stable, so the bounds
-    // can sit tighter than wall-time metrics; goodput is a ratio already.
-    report.AddMetric("frozen.goodput", harsh.frozen.goodput, "", "higher", 0.1);
-    report.AddMetric("reconfig.goodput", harsh.reconfig.goodput, "", "higher", 0.1);
-    report.AddMetric("frozen.avg_jct_min", harsh.frozen.avg_jct / kMinute, "min", "lower", 0.2);
-    report.AddMetric("reconfig.avg_jct_min", harsh.reconfig.avg_jct / kMinute, "min", "lower",
-                     0.2);
-    report.AddMetric("frozen.p99_jct_min", harsh.frozen.p99_jct / kMinute, "min", "lower", 0.2);
-    report.AddMetric("reconfig.p99_jct_min", harsh.reconfig.p99_jct / kMinute, "min", "lower",
-                     0.2);
-    report.AddMetric("migrations", static_cast<double>(harsh.reconfig.migrations), "", "none");
-    report.AddMetric("migration_cost_min", harsh.reconfig.migration_cost_seconds / kMinute,
-                     "min", "none");
-    if (!EmitBenchReport(report, report_path)) {
-      return 1;
-    }
+  if (!WriteBenchReport(
+          report_path, "ext_reconfig",
+          {{"mode", smoke ? "smoke" : "full"},
+           {"trace", trace_config.name},
+           {"jobs", std::to_string(trace.size())},
+           {"mtbf_hours", Table::Fmt(mtbf_hours.back(), 0)}},
+          {{"frozen.goodput", {harsh.frozen.goodput, ""}},
+           {"reconfig.goodput", {harsh.reconfig.goodput, ""}},
+           {"frozen.avg_jct_min", {harsh.frozen.avg_jct / kMinute, "min"}},
+           {"reconfig.avg_jct_min", {harsh.reconfig.avg_jct / kMinute, "min"}},
+           {"frozen.p99_jct_min", {harsh.frozen.p99_jct / kMinute, "min"}},
+           {"reconfig.p99_jct_min", {harsh.reconfig.p99_jct / kMinute, "min"}},
+           {"migrations", {static_cast<double>(harsh.reconfig.migrations), ""}},
+           {"migration_cost_min", {harsh.reconfig.migration_cost_seconds / kMinute, "min"}}})) {
+    return 1;
   }
 
   if (smoke) {

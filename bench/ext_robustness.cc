@@ -13,7 +13,12 @@
 
 int main(int argc, char** argv) {
   using namespace crius;
-  ConfigureBenchThreads(argc, argv);
+  int64_t threads = 1;
+  FlagSet flags("ext_robustness", "seed robustness of the headline comparison");
+  flags.Int("threads", &threads, "seed runs in parallel (1..4096)");
+  if (!flags.Parse(argc, argv) || !SetBenchThreads(threads)) {
+    return 1;
+  }
   Cluster cluster = MakePhysicalTestbed();
 
   const uint64_t seeds[] = {11, 23, 42, 77, 101};

@@ -21,8 +21,10 @@
 //   --smoke   244-job testbed trace subset; exits non-zero if the incremental
 //             path is *slower* than full recompute (CI regression gate).
 //   --jobs N  override the trace's job count (0 = keep the preset's default).
-//   --json F  write a BENCH_rounds.json perf-trajectory report to F
-//             (compared against bench/baselines/ by crius_benchdiff in CI).
+//   --json F  write the deterministic round counts and per-round estimator
+//             arena bytes to F (the ctest gate diffs it against
+//             bench/baselines/BENCH_rounds.json). Timings stay on stdout;
+//             perfbench/ measures them.
 
 #include <cstdio>
 #include <cstring>
@@ -121,7 +123,7 @@ int main(int argc, char** argv) {
   FlagSet flags("ext_rounds", "scheduling-round latency");
   flags.Bool("smoke", &smoke, "small CI-sized run with a pass/fail gate");
   flags.Int("jobs", &jobs_override, "trace length override (0 = default)");
-  flags.String("json", &report_path, "write a BENCH_rounds.json perf report to this path");
+  flags.String("json", &report_path, "write the BENCH_rounds.json report to this path");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -143,9 +145,8 @@ int main(int argc, char** argv) {
   // Cold-oracle batch-estimation throughput (DESIGN.md §14): hand every trace
   // job's whole candidate Cell list to EstimateCellBatch against a fresh
   // oracle and measure Cells ranked per wall second. First occurrence of a
-  // (model, cell) point is a miss fanned across the pool; repeats are served
-  // by the sharded cache's batched lookup -- the same mix the scheduler's
-  // warm-up sees.
+  // (model, cell) point is a miss estimated on the spot; repeats are served
+  // from the oracle's cache -- the same mix the scheduler's warm-up sees.
   size_t batch_cells = 0;
   double batch_seconds = 0.0;
   {
@@ -205,32 +206,14 @@ int main(int argc, char** argv) {
                 full.median_all_ms / inc.median_all_ms, full.median_all_ms, inc.median_all_ms);
   }
 
-  if (!report_path.empty()) {
-    BenchReport report;
-    report.bench = "ext_rounds";
-    report.meta["mode"] = smoke ? "smoke" : "full";
-    report.meta["trace"] = trace_config.name;
-    report.meta["jobs"] = std::to_string(trace.size());
-    // Wall-time metrics carry loose thresholds (CI machines are noisy);
-    // the speedup ratio is dimensionless and gates tighter.
-    report.AddMetric("incremental.median_all_ms", inc.median_all_ms, "ms", "lower", 3.0);
-    report.AddMetric("incremental.median_steady_ms", inc.median_steady_ms, "ms", "lower", 3.0);
-    report.AddMetric("incremental.p95_steady_ms", inc.p95_steady_ms, "ms", "lower", 4.0);
-    report.AddMetric("full.median_all_ms", full.median_all_ms, "ms", "lower", 3.0);
-    report.AddMetric("full.median_steady_ms", full.median_steady_ms, "ms", "lower", 3.0);
-    const double steady_speedup =
-        inc.median_steady_ms > 0.0 ? full.median_steady_ms / inc.median_steady_ms : 0.0;
-    report.AddMetric("steady_speedup", steady_speedup, "x", "higher", 0.75);
-    report.AddMetric("rounds", static_cast<double>(inc.rounds), "", "none");
-    report.AddMetric("steady_rounds", static_cast<double>(inc.steady_rounds), "", "none");
-    // Batch-estimation pipeline throughput (higher is better; machine-speed
-    // dependent, so the gate is loose) and per-round estimator allocation
-    // traffic (arena bytes are deterministic, gated tight).
-    report.AddMetric("estimator_cells_per_sec", cells_per_sec, "cells/s", "higher", 0.5);
-    report.AddMetric("round_alloc_bytes", round_alloc_bytes, "B", "lower", 1.5);
-    if (!EmitBenchReport(report, report_path)) {
-      return 1;
-    }
+  if (!WriteBenchReport(report_path, "ext_rounds",
+                        {{"mode", smoke ? "smoke" : "full"},
+                         {"trace", trace_config.name},
+                         {"jobs", std::to_string(trace.size())}},
+                        {{"rounds", {static_cast<double>(inc.rounds), ""}},
+                         {"steady_rounds", {static_cast<double>(inc.steady_rounds), ""}},
+                         {"round_alloc_bytes", {round_alloc_bytes, "B"}}})) {
+    return 1;
   }
 
   if (smoke && inc.median_all_ms > full.median_all_ms) {

@@ -36,8 +36,9 @@ void RunZoo(const char* label, Cluster cluster, const TraceConfig& config) {
 }  // namespace
 }  // namespace crius
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   RunZoo("64-GPU physical testbed", MakePhysicalTestbed(), PhillySixHourConfig());
   TraceConfig helios = HeliosModerateConfig();
   helios.num_jobs = 450;

@@ -29,8 +29,8 @@
 //
 // Flags: --smoke, --determinism, --clients N, --requests N (per client),
 // --batch N (pipelined submissions per round trip), --threads N (socket
-// dispatch pool), --json F (write a BENCH_serve.json
-// perf-trajectory report for crius_benchdiff).
+// dispatch pool, 1..4096). Its timings are printed, not gated: perfbench's
+// serve-mixed workload measures serving latency.
 
 #include <unistd.h>
 
@@ -238,22 +238,21 @@ int RunDeterminism() {
 
 int main(int argc, char** argv) {
   using namespace crius;
-  ConfigureBenchThreads(argc, argv);
   bool determinism = false;
   bool smoke = false;
   int64_t clients_flag = 0;
   int64_t requests_flag = 0;
   int64_t batch_flag = 0;
-  std::string report_path;
+  int64_t threads_flag = 1;
   FlagSet flags("ext_serve", "closed-loop load generator for the serving daemon");
   flags.Bool("determinism", &determinism, "scripted-session determinism gate");
   flags.Bool("smoke", &smoke, "tiny-queue admission-control gate");
   flags.Int("clients", &clients_flag, "client threads (0 = mode default)");
   flags.Int("requests", &requests_flag, "submissions per client (0 = mode default)");
   flags.Int("batch", &batch_flag, "pipelined submissions per round trip (0 = mode default)");
-  flags.String("json", &report_path, "write a BENCH_serve.json perf report to this path");
-  if (!flags.ParseKnown(argc, argv)) {
-    return 0;
+  flags.Int("threads", &threads_flag, "socket dispatch pool size (ignored by --determinism)");
+  if (!flags.Parse(argc, argv) || !SetBenchThreads(threads_flag)) {
+    return 1;
   }
   if (determinism) {
     return RunDeterminism();
@@ -381,33 +380,6 @@ int main(int argc, char** argv) {
               stats.decisions);
   std::printf("  controller         %zu ticks, %zu jobs accepted, %zu infeasible\n",
               stats.ticks, stats.accepted, stats.infeasible);
-
-  if (!report_path.empty()) {
-    size_t rejected = 0;
-    for (const auto& [reason, count] : total.rejects) {
-      rejected += count;
-    }
-    BenchReport report;
-    report.bench = "ext_serve";
-    report.meta["mode"] = smoke ? "smoke" : "full";
-    report.meta["clients"] = std::to_string(clients);
-    report.meta["requests_per_client"] = std::to_string(requests);
-    report.meta["batch"] = std::to_string(batch);
-    report.AddMetric("submissions_per_sec", submissions_per_sec, "1/s", "higher", 0.8);
-    report.AddMetric("serve.ingress.submissions_per_sec", ingress_per_sec, "1/s", "higher",
-                     0.8);
-    report.AddMetric("rtt_p50_ms", Percentile(total.rtt_ms, 50.0), "ms", "lower", 3.0);
-    report.AddMetric("rtt_p95_ms", Percentile(total.rtt_ms, 95.0), "ms", "lower", 4.0);
-    report.AddMetric("decision_p50_ms", stats.latency_p50_ms, "ms", "lower", 3.0);
-    report.AddMetric("decision_p95_ms", stats.latency_p95_ms, "ms", "lower", 4.0);
-    report.AddMetric("accepted", static_cast<double>(total.accepted), "", "none");
-    report.AddMetric("rejected", static_cast<double>(rejected), "", "none");
-    report.AddMetric("transport_errors", static_cast<double>(total.transport_errors), "",
-                     "none");
-    if (!EmitBenchReport(report, report_path)) {
-      return 1;
-    }
-  }
 
   if (total.transport_errors > 0) {
     std::fprintf(stderr, "ext_serve: FAIL: %zu transport errors\n", total.transport_errors);

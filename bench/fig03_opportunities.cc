@@ -107,7 +107,8 @@ void RunExchangeStudy(PerformanceOracle& oracle) {
 }  // namespace
 }  // namespace crius
 
-int main() {
+int main(int argc, char** argv) {
+  crius::RequireNoArgs(argc, argv);
   // 2 NVLink A100 nodes (8 GPUs, for the scaling study) + 1 V100 node (for
   // the exchange study).
   crius::Cluster cluster;

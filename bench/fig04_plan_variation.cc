@@ -119,7 +119,8 @@ void TopologySweep() {
 }  // namespace
 }  // namespace crius
 
-int main() {
+int main(int argc, char** argv) {
+  crius::RequireNoArgs(argc, argv);
   crius::Cluster cluster = crius::MakeSimulatedCluster();
   crius::PerformanceOracle oracle(cluster, 42);
   crius::GpuNumberSweep(oracle);

@@ -35,8 +35,9 @@ const Config kConfigs[] = {
 }  // namespace
 }  // namespace crius
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakeSimulatedCluster();
   PerformanceOracle oracle(cluster, 42);
 

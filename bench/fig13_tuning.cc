@@ -12,8 +12,9 @@
 #include "src/core/oracle.h"
 #include "src/util/stats.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakeSimulatedCluster();
   PerformanceOracle oracle(cluster, 42);
   const Explorer& explorer = oracle.explorer();

@@ -15,8 +15,9 @@
 #include "bench/bench_util.h"
 #include "src/util/stats.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakePhysicalTestbed();
   PerformanceOracle oracle(cluster, 42);
   const auto trace = GenerateTrace(cluster, oracle, PhillySixHourConfig());

@@ -13,8 +13,9 @@
 #include "bench/bench_util.h"
 #include "src/util/chart.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakeSimulatedCluster();
   PerformanceOracle oracle(cluster, 42);
   const auto trace = GenerateTrace(cluster, oracle, PhillyWeekHeavyConfig());

@@ -48,8 +48,9 @@ void RunTrace(const Cluster& cluster, PerformanceOracle& oracle, const TraceConf
 }  // namespace
 }  // namespace crius
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakeSimulatedCluster();
   PerformanceOracle oracle(cluster, 42);
   RunTrace(cluster, oracle, HeliosModerateConfig(), "Fig. 18(a)(c) Helios Venus, moderate load");

@@ -12,8 +12,9 @@
 
 #include "bench/bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakeSimulatedCluster();
   PerformanceOracle oracle(cluster, 42);
 

@@ -14,8 +14,9 @@
 
 #include "bench/bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
   Cluster cluster = MakePhysicalTestbed();
   PerformanceOracle oracle(cluster, 42);
 

@@ -1,20 +1,11 @@
 // Component microbenchmarks (google-benchmark): how expensive the building
 // blocks are on this substrate. These back the §8.7 overhead discussion --
 // Cell estimation and scheduling must stay cheap enough to run every round.
-//
-// Extra flags (on top of google-benchmark's own):
-//   --json F   write a BENCH_micro.json perf-trajectory report (per-benchmark
-//              real time in ns) for crius_benchdiff
-//   --smoke    cap --benchmark_min_time at 0.01s for a fast CI pass
-//
-// A custom main (instead of benchmark::benchmark_main) threads a capturing
-// reporter through RunSpecifiedBenchmarks so the same run both prints the
-// console table and feeds the JSON report.
+// The numbers are for reading, not gating: perfbench/ measures timings
+// end to end.
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -108,80 +99,7 @@ void BM_CriusScheduleRound(benchmark::State& state) {
 }
 BENCHMARK(BM_CriusScheduleRound)->Arg(16)->Arg(64)->Arg(256);
 
-// ConsoleReporter subclass that also captures per-benchmark real time.
-// Aggregate rows (mean/median/stddev of repetitions) are skipped -- each
-// non-aggregate run contributes its adjusted real time (ns per iteration).
-class CaptureReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      // Aggregate rows only; the skipped/error field is not stable across
-      // google-benchmark 1.7/1.8, so errored runs are filtered by their
-      // zero iteration count instead.
-      if (run.run_type == Run::RT_Aggregate || run.iterations == 0) {
-        continue;
-      }
-      captured_[run.benchmark_name()] = run.GetAdjustedRealTime();
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-
-  const std::map<std::string, double>& captured() const { return captured_; }
-
- private:
-  std::map<std::string, double> captured_;
-};
-
 }  // namespace
 }  // namespace crius
 
-int main(int argc, char** argv) {
-  using namespace crius;
-  std::string report_path;
-  bool smoke = false;
-  // Take our own flags out of argv before google-benchmark sees it (it
-  // rejects unknown --flags), and translate --smoke into a short min_time.
-  std::vector<char*> bench_argv;
-  std::string min_time_flag = "--benchmark_min_time=0.01";
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      report_path = argv[++i];
-      continue;
-    }
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      report_path = argv[i] + 7;
-      continue;
-    }
-    bench_argv.push_back(argv[i]);
-  }
-  if (smoke) {
-    bench_argv.push_back(min_time_flag.data());
-  }
-  int bench_argc = static_cast<int>(bench_argv.size());
-  benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) {
-    return 1;
-  }
-  CaptureReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-
-  if (!report_path.empty()) {
-    BenchReport report;
-    report.bench = "microbench";
-    report.meta["mode"] = smoke ? "smoke" : "full";
-    for (const auto& [name, real_ns] : reporter.captured()) {
-      // Loose threshold: single-iteration CI timings of cache-heavy code are
-      // noisy; the gate is for order-of-magnitude regressions.
-      report.AddMetric(name + ".real_ns", real_ns, "ns", "lower", 4.0);
-    }
-    if (!EmitBenchReport(report, report_path)) {
-      return 1;
-    }
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -7,8 +7,9 @@
 #include "src/model/models.h"
 #include "src/util/units.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace crius;
+  RequireNoArgs(argc, argv);
 
   Table table("Table 2: model configurations (built from architecture formulas)");
   table.SetHeader({"model", "nominal params", "built params", "operators",

@@ -1,9 +1,9 @@
 // Minimal generic JSON tree: parse, build, serialize -- the repo's one JSON
 // codec. The telemetry pipeline uses it with nesting: metrics snapshots
-// (src/util/metrics_export.h), bench perf reports (bench/bench_util.h), and
-// the crius_benchdiff regression gate all read and write this tree. The serve
-// wire protocol (src/serve/protocol.h) uses it too, adding only two rules of
-// its own: requests must be flat objects, and responses sort their keys.
+// (src/util/metrics_export.h) read and write this tree, and the bench reports
+// (bench/bench_util.h) are built on it. The serve wire protocol
+// (src/serve/protocol.h) uses it too, adding only two rules of its own:
+// requests must be flat objects, and responses sort their keys.
 //
 // Properties the consumers rely on:
 //   * Deterministic serialization: objects keep insertion order (builders
