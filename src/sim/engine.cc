@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -87,10 +88,19 @@ double SimEngine::ProjectedDrawWatts() const {
   return power_ != nullptr ? power_->CurrentDrawWatts() : 0.0;
 }
 
+void SimEngine::ReserveJobs(size_t jobs) {
+  jobs_.reserve(jobs);
+  job_index_.reserve(jobs);
+  arrivals_.reserve(jobs);
+}
+
 void SimEngine::AddJob(const TrainingJob& job, double profiling_delay,
                        double reference_throughput) {
   CRIUS_CHECK_MSG(job_index_.find(job.id) == job_index_.end(),
                   "duplicate job id " << job.id);
+  // A job becomes schedulable no earlier than it is admitted: RebuildRunning
+  // derives the running set from the admitted jobs.
+  CRIUS_CHECK_MSG(profiling_delay >= 0.0, "negative profiling delay for job " << job.id);
   SimJob sj;
   sj.state.job = job;
   sj.state.phase = JobPhase::kQueued;
@@ -101,8 +111,12 @@ void SimEngine::AddJob(const TrainingJob& job, double profiling_delay,
   sj.reference_throughput = reference_throughput;
   CRIUS_CHECK_MSG(sj.reference_throughput > 0.0,
                   "trace job " << job.id << " infeasible everywhere");
-  job_index_[job.id] = jobs_.size();
+  const size_t index = jobs_.size();
+  job_index_[job.id] = index;
   jobs_.push_back(std::move(sj));
+  arrivals_.emplace_back(job.submit_time, index);
+  std::push_heap(arrivals_.begin(), arrivals_.end(), std::greater<>());
+  max_submit_ = std::max(max_submit_, job.submit_time);
   ++live_;
 }
 
@@ -153,8 +167,8 @@ void SimEngine::InjectCancel(double time, int64_t job_id) {
 
 double SimEngine::NextEventTime() const {
   double next_completion = std::numeric_limits<double>::infinity();
-  for (const SimJob& sj : jobs_) {
-    next_completion = std::min(next_completion, CompletionTime(sj, now_));
+  for (size_t i : running_) {
+    next_completion = std::min(next_completion, CompletionTime(jobs_[i], now_));
   }
   double t_next = std::min(next_round_, next_completion);
   if (next_failure_ < config_.failures.size()) {
@@ -265,7 +279,8 @@ void SimEngine::KillJob(SimJob& sj, double at) {
 // Re-derives the realized iteration time of every running job touching
 // `node_id` after its straggler factor changed.
 void SimEngine::RefreshSlowdowns(int node_id) {
-  for (SimJob& sj : jobs_) {
+  for (size_t i : running_) {
+    SimJob& sj = jobs_[i];
     if (sj.state.phase != JobPhase::kRunning) {
       continue;
     }
@@ -300,7 +315,8 @@ bool SimEngine::ApplyFault(const FailureEvent& e, double at) {
       // job id first for determinism.
       while (cluster_.nodes()[e.node_id].free_gpus < want) {
         SimJob* victim = nullptr;
-        for (SimJob& sj : jobs_) {
+        for (size_t i : running_) {
+          SimJob& sj = jobs_[i];
           if (sj.state.phase != JobPhase::kRunning) {
             continue;
           }
@@ -389,6 +405,7 @@ bool SimEngine::ApplyCancel(const JobCancelEvent& e, double at) {
     sj.state.iter_time = 0.0;
   }
   sj.state.phase = JobPhase::kDropped;
+  --live_;
   Record(sj, at, SimEvent::Kind::kCancel);
   if (sj.announced) {
     // The scheduler only hears about jobs it has seen arrive; a job cancelled
@@ -426,65 +443,69 @@ void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
     SimJob& sj = JobById(id);
     if (sj.state.phase == JobPhase::kQueued) {
       sj.state.phase = JobPhase::kDropped;
+      --live_;
       Record(sj, at, SimEvent::Kind::kDrop);
       round_events_.push_back(RoundEvent::JobDrop(sj.state.job.id));
     }
   }
 
-  // Releases: running jobs whose assignment vanished or changed, plus jobs
-  // being migrated (their current grant is released so the new Cell can be
-  // allocated from the freed capacity).
   struct StartItem {
     size_t index;
     Assignment assignment;
     const MigrationAction* migration;  // null for plain starts/restarts
   };
   std::vector<StartItem> to_start;
-  for (size_t i = 0; i < jobs_.size(); ++i) {
+  // Queued starts are looked up before any release, so a job preempted below
+  // is not mistaken for a queued one.
+  for (const auto& [id, assignment] : decision.assignments) {
+    const auto it = job_index_.find(id);
+    if (it == job_index_.end()) {
+      continue;
+    }
+    const SimJob& sj = jobs_[it->second];
+    if (sj.state.phase == JobPhase::kQueued && at >= sj.schedulable_at) {
+      to_start.push_back(StartItem{it->second, assignment, nullptr});
+    }
+  }
+  // Releases, in jobs_ order: running jobs whose assignment vanished or
+  // changed, plus jobs being migrated (their current grant is released so the
+  // new Cell can be allocated from the freed capacity).
+  for (size_t i : running_) {
     SimJob& sj = jobs_[i];
-    if (sj.state.phase != JobPhase::kRunning && sj.state.phase != JobPhase::kQueued) {
-      continue;
-    }
-    if (at < sj.schedulable_at) {
-      continue;
-    }
     const auto it = decision.assignments.find(sj.state.job.id);
-    const MigrationAction* mig = nullptr;
-    if (sj.state.phase == JobPhase::kRunning) {
-      const auto mit = migrating.find(sj.state.job.id);
-      if (mit != migrating.end()) {
-        mig = mit->second;
-      }
-      const bool keep = mig == nullptr && it != decision.assignments.end() &&
-                        it->second.type == sj.state.gpu_type &&
-                        it->second.ngpus == sj.state.ngpus &&
-                        (it->second.nstages == 0 || it->second.nstages == sj.state.nstages);
-      if (keep) {
-        sj.state.opportunistic = it->second.opportunistic;
-        continue;
-      }
-      // Preempt / reschedule / migrate: release now, maybe restart below.
-      SettleSegment(sj, at);
-      cluster_.Release(sj.alloc);
-      if (power_ != nullptr) {
-        power_->OnRelease(sj.alloc);
-      }
-      sj.alloc = Allocation{};
-      sj.state.phase = JobPhase::kQueued;
-      sj.state.ngpus = 0;
-      sj.state.nstages = 0;
-      sj.state.iter_time = 0.0;
-      if (mig == nullptr && it == decision.assignments.end()) {
-        Record(sj, at, SimEvent::Kind::kPreempt);
-        round_events_.push_back(RoundEvent::JobPhaseChange(sj.state.job.id));
-      }
+    const auto mit = migrating.find(sj.state.job.id);
+    const MigrationAction* mig = mit != migrating.end() ? mit->second : nullptr;
+    const bool keep = mig == nullptr && it != decision.assignments.end() &&
+                      it->second.type == sj.state.gpu_type &&
+                      it->second.ngpus == sj.state.ngpus &&
+                      (it->second.nstages == 0 || it->second.nstages == sj.state.nstages);
+    if (keep) {
+      sj.state.opportunistic = it->second.opportunistic;
+      continue;
     }
+    // Preempt / reschedule / migrate: release now, maybe restart below.
+    SettleSegment(sj, at);
+    cluster_.Release(sj.alloc);
+    if (power_ != nullptr) {
+      power_->OnRelease(sj.alloc);
+    }
+    sj.alloc = Allocation{};
+    sj.state.phase = JobPhase::kQueued;
+    sj.state.ngpus = 0;
+    sj.state.nstages = 0;
+    sj.state.iter_time = 0.0;
     if (mig != nullptr) {
       to_start.push_back(StartItem{i, mig->target, mig});
     } else if (it != decision.assignments.end()) {
       to_start.push_back(StartItem{i, it->second, nullptr});
+    } else {
+      Record(sj, at, SimEvent::Kind::kPreempt);
+      round_events_.push_back(RoundEvent::JobPhaseChange(sj.state.job.id));
     }
   }
+  // Starts run in jobs_ order, so Allocate sees jobs in add order.
+  std::sort(to_start.begin(), to_start.end(),
+            [](const StartItem& a, const StartItem& b) { return a.index < b.index; });
 
   // Starts / restarts / migration resumes.
   for (const StartItem& item : to_start) {
@@ -590,6 +611,7 @@ void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
       Record(sj, at, SimEvent::Kind::kRestart, placement.ToString());
     }
   }
+  RebuildRunning();
 }
 
 // Runs one scheduler invocation over the currently visible jobs. The
@@ -598,7 +620,8 @@ void SimEngine::ApplyDecision(double at, const ScheduleDecision& decision) {
 // scheduler never misses a transition.
 void SimEngine::RunScheduler(double at) {
   std::vector<const JobState*> visible;
-  for (SimJob& sj : jobs_) {
+  for (size_t i : admitted_) {
+    SimJob& sj = jobs_[i];
     if ((sj.state.phase == JobPhase::kQueued && at + kEps >= sj.schedulable_at &&
          at + kEps >= sj.state.job.submit_time) ||
         sj.state.phase == JobPhase::kRunning) {
@@ -629,7 +652,8 @@ void SimEngine::SampleThroughput(double at) {
   ThroughputSample sample;
   sample.time = at;
   sample.usable_gpus = cluster_.UsableGpus();
-  for (const SimJob& sj : jobs_) {
+  for (size_t i : admitted_) {
+    const SimJob& sj = jobs_[i];
     if (sj.state.phase == JobPhase::kRunning) {
       ++sample.running_jobs;
       sample.busy_gpus += sj.state.ngpus;
@@ -649,11 +673,38 @@ void SimEngine::SampleThroughput(double at) {
   result_.timeline.push_back(sample);
 }
 
-void SimEngine::RecountLive() {
-  live_ = 0;
-  for (const SimJob& sj : jobs_) {
-    if (sj.state.phase == JobPhase::kQueued || sj.state.phase == JobPhase::kRunning) {
-      ++live_;
+// Moves every arrival whose submit time has come into admitted_, keeping it
+// in ascending index order. The test is RunScheduler's visibility test, so no
+// job the scheduler could see is left behind.
+void SimEngine::AdmitArrivals() {
+  const size_t old_size = admitted_.size();
+  while (!arrivals_.empty() && arrivals_.front().first <= now_ + kEps) {
+    std::pop_heap(arrivals_.begin(), arrivals_.end(), std::greater<>());
+    const size_t index = arrivals_.back().second;
+    arrivals_.pop_back();
+    if (jobs_[index].state.phase == JobPhase::kQueued) {  // else dropped before submit
+      admitted_.push_back(index);
+    }
+  }
+  if (admitted_.size() != old_size) {
+    const auto mid = admitted_.begin() + static_cast<ptrdiff_t>(old_size);
+    std::sort(mid, admitted_.end());
+    std::inplace_merge(admitted_.begin(), mid, admitted_.end());
+  }
+}
+
+// Completions, cancels and failure kills only take jobs out of the running
+// set.
+void SimEngine::PruneRunning() {
+  std::erase_if(running_,
+                [this](size_t i) { return jobs_[i].state.phase != JobPhase::kRunning; });
+}
+
+void SimEngine::RebuildRunning() {
+  running_.clear();
+  for (size_t i : admitted_) {
+    if (jobs_[i].state.phase == JobPhase::kRunning) {
+      running_.push_back(i);
     }
   }
 }
@@ -675,10 +726,11 @@ void SimEngine::ProcessNext() {
   const double t_next = NextEventTime();
   CRIUS_CHECK(t_next < std::numeric_limits<double>::infinity());
 
-  for (SimJob& sj : jobs_) {
-    AdvanceJob(sj, now_, t_next);
+  for (size_t i : running_) {
+    AdvanceJob(jobs_[i], now_, t_next);
   }
   now_ = t_next;
+  AdmitArrivals();
   if (power_ != nullptr) {
     // Integrate energy over [prev, t_next] before any allocation changes at
     // t_next mutate the busy sets — draw is constant within a step interval.
@@ -687,7 +739,8 @@ void SimEngine::ProcessNext() {
 
   // Completions (SchedDeparture).
   bool departed = false;
-  for (SimJob& sj : jobs_) {
+  for (size_t i : running_) {
+    SimJob& sj = jobs_[i];
     if (sj.state.phase == JobPhase::kRunning &&
         sj.state.iters_done + kEps >= static_cast<double>(sj.state.job.iterations)) {
       SettleSegment(sj, now_);
@@ -697,6 +750,7 @@ void SimEngine::ProcessNext() {
       }
       sj.alloc = Allocation{};
       sj.state.phase = JobPhase::kFinished;
+      --live_;
       sj.state.finish_time = now_;
       Record(sj, now_, SimEvent::Kind::kFinish);
       round_events_.push_back(RoundEvent::JobDeparture(sj.state.job.id));
@@ -704,6 +758,7 @@ void SimEngine::ProcessNext() {
     }
   }
   if (departed) {
+    PruneRunning();
     RunScheduler(now_);
   }
 
@@ -711,6 +766,8 @@ void SimEngine::ProcessNext() {
   // re-schedule immediately against the surviving hardware (Crius re-derives
   // Cells; baselines requeue).
   bool churn = false;
+  const size_t cancels_before = next_cancel_;
+  const size_t failures_before = next_failure_;
   while (next_cancel_ < config_.cancels.size() &&
          config_.cancels[next_cancel_].time <= now_ + kEps) {
     churn = ApplyCancel(config_.cancels[next_cancel_], now_) || churn;
@@ -720,6 +777,9 @@ void SimEngine::ProcessNext() {
          config_.failures[next_failure_].time <= now_ + kEps) {
     churn = ApplyFault(config_.failures[next_failure_], now_) || churn;
     ++next_failure_;
+  }
+  if (next_cancel_ != cancels_before || next_failure_ != failures_before) {
+    PruneRunning();
   }
   if (churn) {
     RunScheduler(now_);
@@ -732,14 +792,21 @@ void SimEngine::ProcessNext() {
     next_round_ += config_.schedule_interval;
     // Per-round chatter: kInfo when the caller asked for it, kDebug
     // otherwise so CRIUS_LOG_LEVEL=debug surfaces it without a code change.
-    {
+    const LogLevel level = config_.verbose ? LogLevel::kInfo : LogLevel::kDebug;
+    if (level >= GetLogLevel()) {
       std::ostringstream round_msg;
       round_msg << scheduler_.name() << " t=" << now_ << " live=" << live_before;
-      LogMessage(config_.verbose ? LogLevel::kInfo : LogLevel::kDebug, round_msg.str());
+      LogMessage(level, round_msg.str());
     }
   }
 
-  RecountLive();
+  // live_ only falls within a step, and only when a job finished or dropped.
+  if (live_ != live_before) {
+    std::erase_if(admitted_, [this](size_t i) {
+      const JobPhase phase = jobs_[i].state.phase;
+      return phase != JobPhase::kQueued && phase != JobPhase::kRunning;
+    });
+  }
 }
 
 void SimEngine::AdvanceTo(double t) {
@@ -757,27 +824,7 @@ void SimEngine::Drain() {
 }
 
 double SimEngine::MaxTime() const {
-  double trace_end = 0.0;
-  for (const SimJob& sj : jobs_) {
-    trace_end = std::max(trace_end, sj.state.job.submit_time);
-  }
-  return std::max(trace_end, 1.0) * config_.max_time_factor + 24.0 * kHour;
-}
-
-int SimEngine::RunningJobs() const {
-  int n = 0;
-  for (const SimJob& sj : jobs_) {
-    n += sj.state.phase == JobPhase::kRunning ? 1 : 0;
-  }
-  return n;
-}
-
-int SimEngine::QueuedJobs() const {
-  int n = 0;
-  for (const SimJob& sj : jobs_) {
-    n += sj.state.phase == JobPhase::kQueued ? 1 : 0;
-  }
-  return n;
+  return std::max(max_submit_, 1.0) * config_.max_time_factor + 24.0 * kHour;
 }
 
 const JobState* SimEngine::FindJob(int64_t id) const {
@@ -798,6 +845,7 @@ SimResult SimEngine::Finish() {
       }
     }
   }
+  result_.jobs.reserve(jobs_.size());
   for (const SimJob& sj : jobs_) {
     JobRecord r;
     r.id = sj.state.job.id;

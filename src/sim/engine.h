@@ -32,6 +32,28 @@
 // The replay guarantee therefore holds for DRAINED sessions: a live session
 // that ends with Drain() (shutdown waits for the system to empty or hit the
 // time cap) has processed exactly the step sequence the batch run processes.
+//
+// Live-set invariants (what keeps a step's cost proportional to the running
+// and admitted jobs rather than to every job ever added):
+//  - arrivals_: jobs not yet admitted, a min-heap on (submit_time, index).
+//    ProcessNext admits every entry with submit_time <= now() + eps right
+//    after moving the clock, the same test RunScheduler applies for
+//    visibility. A job cancelled before its submit time stays in the heap as
+//    kDropped and is discarded when popped.
+//  - admitted_: indices into jobs_ of admitted queued and running jobs, in
+//    ascending order (= add order). Jobs that finish or are dropped during a
+//    step are compacted out at the end of it. It drives RunScheduler's
+//    visible list and SampleThroughput.
+//  - running_: the kRunning subset of admitted_, same order, re-derived after
+//    a decision, a completion, or an applied cancel or fault. It drives
+//    NextEventTime, the AdvanceJob loop, the completion scan,
+//    RefreshSlowdowns and the ApplyFault victim search.
+//  - live_ counts queued + running jobs (arrivals included) and changes only
+//    in AddJob and at the three transitions to kFinished/kDropped.
+// Each index is a superset of the jobs its loops can act on, every loop keeps
+// its own per-job phase and epsilon test, and ascending index order is jobs_
+// order, so Record, round_events_, Allocate and Release run in the sequence a
+// full scan of jobs_ would give them.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
@@ -39,6 +61,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -53,6 +76,10 @@ class SimEngine {
   // runtime both run SimConfig::Validate first).
   SimEngine(const Cluster& cluster_template, SimConfig config, Scheduler& scheduler,
             PerformanceOracle& oracle);
+
+  // Batch path: sizes the job tables for `jobs` AddJob calls, so the startup
+  // prepass does not regrow (and transiently double) them.
+  void ReserveJobs(size_t jobs);
 
   // Batch path: the caller's startup prepass priced the profiling delay and
   // reference throughput. Aborts if the job is infeasible everywhere
@@ -89,10 +116,10 @@ class SimEngine {
   // run and the live shutdown drain.
   void Drain();
 
-  // Jobs still queued or running (future arrivals included).
+  // Jobs still queued or running (future arrivals included). O(1).
   int LiveJobs() const { return live_; }
-  int RunningJobs() const;
-  int QueuedJobs() const;
+  int RunningJobs() const { return static_cast<int>(running_.size()); }
+  int QueuedJobs() const { return live_ - RunningJobs(); }
 
   double now() const { return now_; }
 
@@ -166,7 +193,9 @@ class SimEngine {
   void ApplyDecision(double at, const ScheduleDecision& decision);
   void RunScheduler(double at);
   void SampleThroughput(double at);
-  void RecountLive();
+  void AdmitArrivals();
+  void PruneRunning();
+  void RebuildRunning();
   SimJob& JobById(int64_t id);
 
   Cluster cluster_template_;
@@ -184,6 +213,11 @@ class SimEngine {
   SimResult result_;
   std::vector<SimJob> jobs_;
   std::unordered_map<int64_t, size_t> job_index_;
+  // Live-set indices into jobs_ (see the header comment).
+  std::vector<std::pair<double, size_t>> arrivals_;
+  std::vector<size_t> admitted_;
+  std::vector<size_t> running_;
+  double max_submit_ = 0.0;
   // Typed deltas accumulated since the scheduler last ran (the RoundContext
   // completeness contract).
   std::vector<RoundEvent> round_events_;

@@ -84,6 +84,7 @@ SimResult Simulator::Run(Scheduler& scheduler, PerformanceOracle& oracle,
     // memo on Cluster::identity(), so pricing against the copy the rounds
     // will actually see keeps the cache priming effective.
     const Cluster& cluster = engine.cluster();
+    engine.ReserveJobs(trace.size());
     for (const TrainingJob& job : trace) {
       const double profiling_delay =
           config_.charge_profiling ? scheduler.ProfilingDelay(job, cluster) : 0.0;

@@ -87,7 +87,6 @@ bool FlagSet::Assign(Flag& flag, const std::string& value) {
 }
 
 bool FlagSet::Parse(int argc, const char* const* argv) {
-  positional_.clear();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -95,8 +94,9 @@ bool FlagSet::Parse(int argc, const char* const* argv) {
       return false;
     }
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(arg);
-      continue;
+      std::fprintf(stderr, "%s: unexpected argument '%s'\n%s", program_.c_str(), arg.c_str(),
+                   Usage().c_str());
+      return false;
     }
     arg = arg.substr(2);
     std::string value;
@@ -127,52 +127,6 @@ bool FlagSet::Parse(int argc, const char* const* argv) {
       std::fprintf(stderr, "%s: bad value '%s' for --%s\n", program_.c_str(), value.c_str(),
                    arg.c_str());
       return false;
-    }
-  }
-  return true;
-}
-
-bool FlagSet::ParseKnown(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(Usage().c_str(), stdout);
-      return false;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      continue;  // not ours; another parser's positional
-    }
-    arg = arg.substr(2);
-    std::string value;
-    bool has_value = false;
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_value = true;
-    }
-    Flag* flag = Find(arg);
-    if (flag == nullptr) {
-      // Unknown flag: leave it (and any value token it may own) for the other
-      // parser. Never consume the next token — "--benchmark_filter foo" must
-      // stay intact.
-      continue;
-    }
-    if (!has_value) {
-      if (flag->kind == Kind::kBool) {
-        value = "true";  // bare --flag enables
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        value = argv[++i];
-      } else {
-        std::fprintf(stderr, "%s: flag --%s needs a value; keeping default %s\n",
-                     program_.c_str(), arg.c_str(), flag->default_value.c_str());
-        continue;
-      }
-    }
-    if (!Assign(*flag, value)) {
-      std::fprintf(stderr, "%s: bad value '%s' for --%s; keeping default %s\n",
-                   program_.c_str(), value.c_str(), arg.c_str(),
-                   flag->default_value.c_str());
     }
   }
   return true;

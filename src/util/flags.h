@@ -27,19 +27,10 @@ class FlagSet {
   void Double(const std::string& name, double* target, const std::string& help);
   void Bool(const std::string& name, bool* target, const std::string& help);
 
-  // Parses argv. Returns false (after printing a message) on --help or on any
-  // unknown flag / malformed value. Positional arguments are collected into
-  // positional().
+  // Parses argv. Returns false (after printing a message) on --help, on any
+  // unknown flag / malformed value, and on any positional argument: no
+  // program takes one, so a stray word is an error rather than ignored.
   bool Parse(int argc, const char* const* argv);
-
-  // Lenient variant for argv shared with another parser (the benches, whose
-  // command line also carries Google Benchmark's flags): unknown flags are
-  // skipped without consuming a following value token, and a malformed or
-  // missing value for a known flag warns on stderr and keeps the default
-  // instead of failing. Returns false only on --help.
-  bool ParseKnown(int argc, const char* const* argv);
-
-  const std::vector<std::string>& positional() const { return positional_; }
 
   // Renders the --help text.
   std::string Usage() const;
@@ -60,7 +51,6 @@ class FlagSet {
   std::string program_;
   std::string description_;
   std::vector<Flag> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace crius
